@@ -93,26 +93,37 @@ const stageRows = 256
 // stage fills cm from a sample-major block of rows × nchan values,
 // reusing cm's buffer when it suffices.
 func (cm *chanMajor) stage(data []float32, rows, nchan int) {
+	cm.reset(rows, nchan)
+	for r0 := 0; r0 < rows; r0 += stageRows {
+		cm.stageTile(data, r0)
+	}
+}
+
+// reset sizes cm for a block of rows × nchan values, reusing its buffer
+// when it suffices; the caller then fills every stageRows-row tile.
+func (cm *chanMajor) reset(rows, nchan int) {
 	need := rows * nchan
 	if cap(cm.data) < need {
 		cm.data = make([]float32, need)
 	}
 	cm.data = cm.data[:need]
 	cm.rows, cm.nchan = rows, nchan
+}
+
+// stageTile transposes the tile of rows [r0, r0+stageRows) from the
+// sample-major block into cm. Tiles write disjoint ranges of every column,
+// so they may be staged concurrently.
+func (cm *chanMajor) stageTile(data []float32, r0 int) {
+	rows, nchan := cm.rows, cm.nchan
+	r1 := min(r0+stageRows, rows)
 	if nchan == 1 {
-		copy(cm.data, data)
+		copy(cm.data[r0:r1], data[r0:r1])
 		return
 	}
-	for r0 := 0; r0 < rows; r0 += stageRows {
-		r1 := r0 + stageRows
-		if r1 > rows {
-			r1 = rows
-		}
-		for ch := 0; ch < nchan; ch++ {
-			col := cm.data[ch*rows : (ch+1)*rows]
-			for r := r0; r < r1; r++ {
-				col[r] = data[r*nchan+ch]
-			}
+	for ch := 0; ch < nchan; ch++ {
+		col := cm.data[ch*rows : (ch+1)*rows]
+		for r := r0; r < r1; r++ {
+			col[r] = data[r*nchan+ch]
 		}
 	}
 }

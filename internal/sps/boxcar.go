@@ -1,8 +1,10 @@
 package sps
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -28,19 +30,7 @@ func normalizeInto(x []float64, window int, sum, sq []float64) ([]float64, []flo
 	if window <= 0 || window >= n {
 		window = n
 	}
-	// Prefix sums of x and x² over the original values.
-	if cap(sum) < n+1 {
-		sum = make([]float64, n+1)
-	}
-	if cap(sq) < n+1 {
-		sq = make([]float64, n+1)
-	}
-	sum, sq = sum[:n+1], sq[:n+1]
-	sum[0], sq[0] = 0, 0
-	for i, v := range x {
-		sum[i+1] = sum[i] + v
-		sq[i+1] = sq[i] + v*v
-	}
+	sum, sq = prefixSums(x, 0, 0, sum, sq)
 	half := window / 2
 	for i := range x {
 		lo := i - half
@@ -59,6 +49,28 @@ func normalizeInto(x []float64, window int, sum, sq []float64) ([]float64, []flo
 			variance = 1e-12
 		}
 		x[i] = (x[i] - mean) / math.Sqrt(variance)
+	}
+	return sum, sq
+}
+
+// prefixSums fills sum and sq (grown as needed, length len(x)+1) with the
+// running sums of x and x² continued from the totals sum0 and sq0. The
+// accumulation is strictly sequential, so a pass resumed mid-series from the
+// totals carried at its first sample — the streaming normaliser — produces
+// bit-for-bit the values of one pass over the whole series.
+func prefixSums(x []float64, sum0, sq0 float64, sum, sq []float64) ([]float64, []float64) {
+	n := len(x)
+	if cap(sum) < n+1 {
+		sum = make([]float64, n+1)
+	}
+	if cap(sq) < n+1 {
+		sq = make([]float64, n+1)
+	}
+	sum, sq = sum[:n+1], sq[:n+1]
+	sum[0], sq[0] = sum0, sq0
+	for i, v := range x {
+		sum[i+1] = sum[i] + v
+		sq[i+1] = sq[i] + v*v
 	}
 	return sum, sq
 }
@@ -259,25 +271,35 @@ func (l *boxLadder) detect(z []float64, threshold float64) []Detection {
 	return mergeDetections(cands)
 }
 
+// scanMaxima applies BoxcarDetect's mid-series local-maximum rule to the
+// start positions [lo, hi) of one width's window sums s — every position
+// has its successor, so hi < len(s) — and appends the maxima to cands with
+// Start offset by off. prev is the sum at lo−1 (−Inf at the series start);
+// the returned float is the sum at hi−1, the next call's prev.
+func scanMaxima(cands []Detection, s []float64, lo, hi, off, w int, prev, raw, norm float64) ([]Detection, float64) {
+	cur := s[lo]
+	for t, next := range s[lo+1 : hi+1] {
+		if cur >= raw && cur >= prev && cur > next {
+			cands = append(cands, Detection{Start: off + lo + t, Width: w, SNR: cur * norm})
+		}
+		prev, cur = cur, next
+	}
+	return cands, prev
+}
+
 // mergeDetections suppresses overlapping windows across widths: detections
 // are considered best-first and any later one whose window intersects a
 // kept window is discarded. The tie-break (SNR desc, start asc, width asc)
-// makes the outcome deterministic.
+// makes the outcome deterministic. The survivors are compacted into the
+// front of cands, which the result aliases.
 func mergeDetections(cands []Detection) []Detection {
 	if len(cands) < 2 {
 		return cands
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.SNR != b.SNR {
-			return a.SNR > b.SNR
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Width < b.Width
+	slices.SortFunc(cands, func(a, b Detection) int {
+		return cmp.Or(cmp.Compare(b.SNR, a.SNR), cmp.Compare(a.Start, b.Start), cmp.Compare(a.Width, b.Width))
 	})
-	var kept []Detection
+	kept := cands[:0]
 	for _, c := range cands {
 		clear := true
 		for _, k := range kept {
@@ -290,7 +312,7 @@ func mergeDetections(cands []Detection) []Detection {
 			kept = append(kept, c)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Start < kept[j].Start })
+	slices.SortFunc(kept, func(a, b Detection) int { return cmp.Compare(a.Start, b.Start) })
 	return kept
 }
 

@@ -117,7 +117,7 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 	if testing.Short() {
 		iters = 3
 	}
-	totalEvents := 0
+	totalEvents, smallBlocks := 0, 0
 	for it := 0; it < iters; it++ {
 		ec := randomEquivCase(t, rng)
 		for _, plan := range []PlanKind{PlanBrute, PlanSubband} {
@@ -163,6 +163,16 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 				cfg.Exec = rdd.ExecConfig{Workers: 1 + rng.Intn(4)}
 				check(fmt.Sprintf("stream kernel=%q block=%d", kern, cfg.BlockSamples), cfg)
 			}
+			// One gulp size below the normalisation window, so the
+			// normaliser's carried tail spans several gulps.
+			if lo := max(sweep, 1); lo < ec.base.NormWindow {
+				cfg := ec.base
+				cfg.Plan = DedispersePlan{Kind: plan}
+				cfg.BlockSamples = lo + rng.Intn(ec.base.NormWindow-lo)
+				cfg.Exec = rdd.ExecConfig{Workers: 1 + rng.Intn(4)}
+				check(fmt.Sprintf("stream block=%d below window %d", cfg.BlockSamples, ec.base.NormWindow), cfg)
+				smallBlocks++
+			}
 
 			// A single-trial restriction against a wide pool drives the
 			// time-tiled split (searchBruteTiled); its oracle is the scalar
@@ -189,6 +199,9 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 	}
 	if totalEvents == 0 {
 		t.Fatal("random sweep produced no events — the equivalence checks compared nothing")
+	}
+	if smallBlocks == 0 {
+		t.Fatal("no case had a sweep below its normalisation window — the small-gulp stream leg never ran")
 	}
 }
 

@@ -143,19 +143,28 @@ func (sc *stageClock) seconds() map[string]float64 {
 	return out
 }
 
+// kernelScratch is the worker-owned scratch of the normalise and boxcar
+// kernels: the normalisation prefix sums and the boxcar ladder with its
+// window sums, plus — on the streaming path, where it is sized to one
+// streamChunk sub-chunk rather than to the series — the [carried tail | new
+// samples] staging of the raw and the normalised samples.
+type kernelScratch struct {
+	x    []float64
+	z    []float64
+	nsum []float64
+	nsq  []float64
+	lad  *boxLadder
+}
+
 // trialBuffers is the per-trial scratch a worker reuses: the dedispersed
-// series, the per-channel shift table, the normalisation prefix sums, the
-// boxcar ladder, and (on the streaming path) the normalised-sample
-// segment. Pooling them makes steady-state search allocation-free per
-// trial, which is what lets the DM fan-out scale with workers instead of
-// with the allocator.
+// series, the per-channel shift table and the downstream kernel scratch.
+// Pooling them makes steady-state search allocation-free per trial, which
+// is what lets the DM fan-out scale with workers instead of with the
+// allocator.
 type trialBuffers struct {
 	series []float64
 	shifts []int
-	z      []float64
-	nsum   []float64
-	nsq    []float64
-	lad    *boxLadder
+	kernelScratch
 }
 
 var trialPool = sync.Pool{New: func() any { return &trialBuffers{} }}
@@ -171,10 +180,7 @@ type subbandBuffers struct {
 	combined  []float64
 	shifts    []int
 	subShifts []int
-	z         []float64
-	nsum      []float64
-	nsq       []float64
-	lad       *boxLadder
+	kernelScratch
 }
 
 var subbandPool = sync.Pool{New: func() any { return &subbandBuffers{} }}

@@ -2,11 +2,12 @@ package sps
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"drapid/internal/rdd"
@@ -21,10 +22,13 @@ import (
 // the observation runs. The contract is strict equivalence: for any block
 // size and any worker count the emitted event stream is record-for-record
 // identical to the batch path, because every kernel carries exactly the
-// state the batch computation would have had at the block boundary —
-// running prefix moments for Normalize, boxcar prefix sums and undecided
-// scan positions for BoxcarDetect, and the overlap rows for the
-// dedispersion kernels.
+// state the batch computation would have had at the block boundary — the
+// last NormWindow raw samples and their absolute prefix totals for
+// Normalize, the last maxW normalised samples and the undecided scan
+// positions for BoxcarDetect, and the overlap rows for the dedispersion
+// kernels — and re-runs the batch kernels over [carried tail | new segment]
+// in worker-owned scratch. Per-trial state is O(NormWindow + maxW),
+// independent of the gulp size and of the observation length.
 
 // DefaultNormWindow is the running-normalisation window (in samples) the
 // streaming driver substitutes when Config.NormWindow is zero: the batch
@@ -33,94 +37,103 @@ import (
 // paths event-for-event.
 const DefaultNormWindow = 2048
 
-// normStream is Normalize as an incremental state machine: it carries the
-// running prefix sums of x and x² (accumulated in exactly the batch order,
-// so the moments are bit-identical) plus rings of the last window+1 prefix
-// values and raw samples — enough to emit sample i as soon as its centred
-// window fits in the data seen so far, and to replay Normalize's
-// end-clamped (or globally-clamped) windows at finish.
+// streamChunk is the length of the sub-chunks a gulp's dedispersed series
+// is walked in. The prefix sums and the boxcar ladder of one sub-chunk (plus
+// the carried tails) live in worker-owned scratch (kernelScratch), so the
+// kernels' working set stays L2-resident whatever the gulp size — BoxDIT's
+// tile-sized partial sums owned by the compute unit, not by the series.
+const streamChunk = 4096
+
+// normStream is Normalize as an incremental state machine. Per trial it
+// carries only the last min(n, window) raw samples and the absolute prefix
+// sums of x and x² at the first of them; each feed re-accumulates the prefix
+// sums of [tail | segment] sequentially from those totals in worker scratch —
+// the same additions in the same order as the batch prefix pass, so the
+// moments are bit-identical — and emits sample i as soon as its centred
+// window fits in the data seen so far.
 type normStream struct {
 	window, half int
-	n, next      int // samples fed / next sample to emit
-	sum, sq      float64
-	psum, psq    []float64 // prefix rings, indexed by absolute prefix index mod window+1
-	raw          []float64 // raw-sample ring, same indexing
+	n            int       // samples fed
+	tail         []float64 // the last min(n, window) raw samples
+	sum, sq      float64   // absolute prefix sums of x and x² at tail[0]
 }
 
 func newNormStream(window int) *normStream {
-	m := window + 1
-	return &normStream{
-		window: window,
-		half:   window / 2,
-		psum:   make([]float64, m),
-		psq:    make([]float64, m),
-		raw:    make([]float64, m),
-	}
+	return &normStream{window: window, half: window / 2}
 }
 
-// z normalises sample i over the window [lo, hi), exactly as Normalize.
-func (ns *normStream) z(i, lo, hi int) float64 {
-	m := ns.window + 1
+// emitted is how many leading samples have a centred window that fits in the
+// n fed so far: sample i needs max(0, i−half) + window <= n.
+func (ns *normStream) emitted() int {
+	if ns.n < ns.window {
+		return 0
+	}
+	return ns.n - ns.window + ns.half + 1
+}
+
+// windowMoments returns the mean and standard deviation of the window
+// [lo, hi) from prefix sums, exactly as Normalize computes them.
+func windowMoments(sum, sq []float64, lo, hi int) (mean, sd float64) {
 	w := float64(hi - lo)
-	mean := (ns.psum[hi%m] - ns.psum[lo%m]) / w
-	variance := (ns.psq[hi%m]-ns.psq[lo%m])/w - mean*mean
+	mean = (sum[hi] - sum[lo]) / w
+	variance := (sq[hi]-sq[lo])/w - mean*mean
 	if variance < 1e-12 {
 		variance = 1e-12
 	}
-	return (ns.raw[i%m] - mean) / math.Sqrt(variance)
+	return mean, math.Sqrt(variance)
 }
 
-// feed appends a series segment and appends every newly decidable
-// normalised sample to out. Emission keeps pace with ingestion one sample
-// at a time, so the rings never drop a value still in reach of an
-// unemitted window.
-func (ns *normStream) feed(x []float64, out []float64) []float64 {
-	m := ns.window + 1
-	for _, v := range x {
-		ns.raw[ns.n%m] = v
-		ns.sum += v
-		ns.sq += v * v
-		ns.n++
-		ns.psum[ns.n%m] = ns.sum
-		ns.psq[ns.n%m] = ns.sq
-		for {
-			lo := ns.next - ns.half
-			if lo < 0 {
-				lo = 0
-			}
-			if lo+ns.window > ns.n {
-				break
-			}
-			out = append(out, ns.z(ns.next, lo, lo+ns.window))
-			ns.next++
+// feed takes the next series segment and appends every newly decidable
+// normalised sample to out.
+func (ns *normStream) feed(seg []float64, ks *kernelScratch, out []float64) []float64 {
+	base := ns.n - len(ns.tail) // absolute index of x[0]
+	next := ns.emitted()
+	x := append(append(ks.x[:0], ns.tail...), seg...)
+	ks.x = x
+	ns.n += len(seg)
+	ks.nsum, ks.nsq = prefixSums(x, ns.sum, ns.sq, ks.nsum, ks.nsq)
+	sum, sq := ks.nsum, ks.nsq
+	end := ns.emitted()
+	if next == 0 && end > 0 {
+		// First emission (base is 0): the windows clamped to the series
+		// start all span [0, window).
+		mean, sd := windowMoments(sum, sq, 0, ns.window)
+		for _, v := range x[:ns.half] {
+			out = append(out, (v-mean)/sd)
+		}
+		next = ns.half
+	}
+	if m := end - next; m > 0 {
+		// Sliding windows: sample next+k spans prefix indices [lo+k, hi+k).
+		lo := next - ns.half - base
+		hi := lo + ns.window
+		out = slices.Grow(out, m)
+		dst := out[len(out):][:m]
+		out = out[:len(out)+m]
+		for k, v := range x[next-base:][:m] {
+			mean, sd := windowMoments(sum, sq, lo+k, hi+k)
+			dst[k] = (v - mean) / sd
 		}
 	}
+	t0 := len(x) - min(ns.n, ns.window)
+	ns.sum, ns.sq = sum[t0], sq[t0]
+	ns.tail = append(ns.tail[:0], x[t0:]...)
 	return out
 }
 
-// finish flushes the tail with Normalize's end-clamped windows. A series
-// shorter than the window emits everything here with the window clamped to
-// the series — the batch path's global-moments degeneration — which is
-// exact because nothing was emitted during feed and both rings still hold
-// the whole series.
-func (ns *normStream) finish(out []float64) []float64 {
-	n := ns.n
-	w := ns.window
-	if w > n {
-		w = n
+// finish flushes the unemitted samples with Normalize's end-clamped
+// windows. Every one of them — the last window−half−1 samples, or the whole
+// of a series shorter than the window (the batch path's global-moments
+// degeneration) — is clamped to the same window: exactly the carried tail.
+func (ns *normStream) finish(ks *kernelScratch, out []float64) []float64 {
+	x := ns.tail
+	if len(x) == 0 {
+		return out
 	}
-	half := w / 2
-	for ; ns.next < n; ns.next++ {
-		lo := ns.next - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := lo + w
-		if hi > n {
-			hi = n
-			lo = hi - w
-		}
-		out = append(out, ns.z(ns.next, lo, hi))
+	ks.nsum, ks.nsq = prefixSums(x, ns.sum, ns.sq, ks.nsum, ks.nsq)
+	mean, sd := windowMoments(ks.nsum, ks.nsq, 0, len(x))
+	for _, v := range x[ns.emitted()-(ns.n-len(x)):] {
+		out = append(out, (v-mean)/sd)
 	}
 	return out
 }
@@ -129,7 +142,6 @@ func (ns *normStream) finish(out []float64) []float64 {
 // position and the raw window sum at the position before it.
 type rawScan struct {
 	w         int
-	oi        int // the width's index in the ladder's closure order
 	rawThresh float64
 	norm      float64
 	next      int
@@ -137,147 +149,70 @@ type rawScan struct {
 }
 
 // boxStream is BoxcarDetect as an incremental state machine over the same
-// BoxDIT ladder the batch detector runs (DESIGN.md §11). Each closure
-// width keeps a contiguous buffer of window sums extended by the pairwise
-// recurrence as z-samples arrive — identical arithmetic to
-// boxLadder.compute over the whole series, so decisions (made on the raw
-// sums against threshold·√w, exactly the batch basis) are bit-identical.
-// Each requested width decides start position t once the sum at t+1 is
-// computable; the cross-width overlap merge resolves lazily: candidates
-// stay pending until their whole overlap chain lies behind every width's
-// scan frontier, at which point chain-local merging equals the batch
+// BoxDIT ladder the batch detector runs (DESIGN.md §11). Per trial it
+// carries only the last min(n, maxW) normalised samples, each width's scan
+// state and the pending overlap chains; each feed rebuilds the window sums
+// of [tail | new samples] with boxLadder.compute in the worker's ladder.
+// Every S_w[t] comes from the unchanged splitWidth tree, whose value depends
+// on w and the z-values only, never on the buffer offset, so decisions (made
+// on the raw sums against threshold·√w, exactly the batch basis) are
+// bit-identical. Each requested width decides start position t once the sum
+// at t+1 is computable; the cross-width overlap merge resolves lazily:
+// candidates stay pending until their whole overlap chain lies behind every
+// width's scan frontier, at which point chain-local merging equals the batch
 // path's global mergeDetections (windows never overlap across chains, and
 // the greedy best-first suppression never interacts across disjoint
-// windows). Buffers compact to the oldest sum still reachable — by a
-// future recurrence operand or an undecided scan — so per-trial state
-// stays O(maxW + gulp), never O(observation).
+// windows).
 type boxStream struct {
-	threshold float64
-	maxW      int // widest closure width
-	lad       *boxLadder
-	scans     []rawScan
-	n         int         // absolute z-samples fed
-	off       int         // absolute index of every buffer's first entry
-	bufs      [][]float64 // per closure width: S_w from absolute index off (width 1: z itself)
-	pending   []Detection
-	out       []Detection
+	widths  []int // requested widths (shared, read-only): the worker ladder's key
+	scans   []rawScan
+	n       int       // absolute z-samples fed
+	tail    []float64 // the last min(n, maxW) normalised samples
+	pending []Detection
+	out     []Detection
 }
 
 func newBoxStream(widths []int, threshold float64) *boxStream {
-	lad := newBoxLadder(widths)
-	bs := &boxStream{
-		threshold: threshold,
-		maxW:      lad.order[len(lad.order)-1],
-		lad:       lad,
-		bufs:      make([][]float64, len(lad.order)),
-	}
-	for _, w := range widths {
-		bs.scans = append(bs.scans, rawScan{
-			w: w, oi: lad.idx[w],
+	bs := &boxStream{widths: widths, scans: make([]rawScan, len(widths))}
+	for i, w := range widths {
+		bs.scans[i] = rawScan{
+			w:         w,
 			rawThresh: threshold * math.Sqrt(float64(w)),
 			norm:      1 / math.Sqrt(float64(w)),
-		})
+			prev:      math.Inf(-1), // position 0 has no predecessor to lose to
+		}
 	}
 	return bs
 }
 
-// sum reads S_w (closure index oi) at absolute start position t.
-func (bs *boxStream) sum(oi, t int) float64 { return bs.bufs[oi][t-bs.off] }
-
-// grow appends a z segment and extends every closure width's sums to the
-// new frontier via the ladder recurrence. Evaluation walks the closure
-// ascending, so both operands of S_w[t] = S_a[t] + S_b[t+a] exist by the
-// time they are read: S_a reaches n−a ≥ n−w and S_b[t+a] needs
-// t ≤ n−w exactly.
-func (bs *boxStream) grow(z []float64) {
-	bs.n += len(z)
-	for oi, w := range bs.lad.order {
-		if w == 1 {
-			bs.bufs[oi] = append(bs.bufs[oi], z...)
-			continue
+// feed takes z = [carried tail | new normalised samples], advances every
+// width's scan as far as the data allows — through BoxcarDetect's
+// end-of-series rule when last — finalises the overlap chains that fell
+// behind the frontier, and carries the new tail.
+func (bs *boxStream) feed(z []float64, lad *boxLadder, last bool) {
+	base := bs.n - len(bs.tail) // absolute index of z[0]
+	bs.n = base + len(z)
+	lad.compute(z)
+	for i := range bs.scans {
+		s := &bs.scans[i]
+		end := bs.n - s.w // the last start position: decidable only by the end rule
+		if end < s.next {
+			continue // no new position (or, at finish, a width longer than the series)
 		}
-		a := bs.lad.splitA[oi]
-		sa := bs.bufs[bs.lad.idx[a]]
-		sb := bs.bufs[bs.lad.idx[bs.lad.splitB[oi]]]
-		buf := bs.bufs[oi]
-		for t := bs.off + len(buf); t <= bs.n-w; t++ {
-			buf = append(buf, sa[t-bs.off]+sb[t+a-bs.off])
+		sums := lad.sums[lad.idx[s.w]]
+		bs.pending, s.prev = scanMaxima(bs.pending, sums, s.next-base, end-base, base, s.w, s.prev, s.rawThresh, s.norm)
+		s.next = end
+		if cur := sums[end-base]; last && cur >= s.rawThresh && cur >= s.prev {
+			bs.pending = append(bs.pending, Detection{Start: end, Width: s.w, SNR: cur * s.norm})
 		}
-		bs.bufs[oi] = buf
-	}
-}
-
-// decide advances scan s by one start position, applying BoxcarDetect's
-// local-maximum rule (or its end-of-series plateau rule when last) on the
-// raw window sums.
-func (bs *boxStream) decide(s *rawScan, last bool) {
-	t := s.next
-	cur := bs.sum(s.oi, t)
-	prev := s.prev
-	if t == 0 {
-		prev = cur
 	}
 	if last {
-		if cur >= s.rawThresh && cur >= prev {
-			bs.pending = append(bs.pending, Detection{Start: t, Width: s.w, SNR: cur * s.norm})
-		}
-	} else if nxt := bs.sum(s.oi, t+1); cur >= s.rawThresh && cur >= prev && cur > nxt {
-		bs.pending = append(bs.pending, Detection{Start: t, Width: s.w, SNR: cur * s.norm})
-	}
-	s.prev = cur
-	s.next++
-}
-
-// feed appends normalised samples, advances every width's scan as far as
-// the data allows, finalises the overlap chains that fell behind the
-// frontier, and compacts the sum buffers.
-func (bs *boxStream) feed(z []float64) {
-	bs.grow(z)
-	for i := range bs.scans {
-		s := &bs.scans[i]
-		for s.next+s.w+1 <= bs.n {
-			bs.decide(s, false)
-		}
-	}
-	bs.finalize(bs.frontier())
-	bs.compact()
-}
-
-// finish decides the remaining positions of every width — including the
-// end-of-series rule at the last one — and finalises everything.
-func (bs *boxStream) finish() {
-	for i := range bs.scans {
-		s := &bs.scans[i]
-		last := bs.n - s.w
-		if last < 0 {
-			continue // width longer than the series: the batch path skips it too
-		}
-		for s.next <= last {
-			bs.decide(s, s.next == last)
-		}
-	}
-	bs.finalize(math.MaxInt)
-}
-
-// compact drops every sum no longer reachable: the recurrence only reads
-// operand positions ≥ n−maxW+1 from here on, and scans only positions ≥
-// their frontier (each scan caches its own prev).
-func (bs *boxStream) compact() {
-	keep := bs.n - bs.maxW + 1
-	if f := bs.frontier(); f < keep {
-		keep = f
-	}
-	if keep <= bs.off {
+		bs.finalize(math.MaxInt)
 		return
 	}
-	d := keep - bs.off
-	for oi, buf := range bs.bufs {
-		// Every buffer reaches at least n−w+1 ≥ keep entries past off, so
-		// d never exceeds a buffer's length.
-		copy(buf, buf[d:])
-		bs.bufs[oi] = buf[:len(buf)-d]
-	}
-	bs.off = keep
+	bs.finalize(bs.frontier())
+	maxW := bs.widths[len(bs.widths)-1]
+	bs.tail = append(bs.tail[:0], z[len(z)-min(bs.n, maxW):]...)
 }
 
 // frontier is the earliest start position any width has yet to decide —
@@ -313,7 +248,7 @@ func (bs *boxStream) finalize(frontier int) {
 	if len(bs.pending) == 0 {
 		return
 	}
-	sort.Slice(bs.pending, func(i, j int) bool { return bs.pending[i].Start < bs.pending[j].Start })
+	slices.SortFunc(bs.pending, func(a, b Detection) int { return cmp.Compare(a.Start, b.Start) })
 	done := 0
 	lo, maxEnd := 0, bs.pending[0].Start+bs.pending[0].Width
 	for k := 1; k <= len(bs.pending); k++ {
@@ -332,7 +267,7 @@ func (bs *boxStream) finalize(frontier int) {
 			lo, maxEnd = k, bs.pending[k].Start+bs.pending[k].Width
 		}
 	}
-	bs.pending = bs.pending[done:]
+	bs.pending = append(bs.pending[:0], bs.pending[done:]...)
 }
 
 // take returns the finalised detections accumulated since the last call;
@@ -344,8 +279,10 @@ func (bs *boxStream) take() []Detection {
 }
 
 // streamState is the persistent per-trial state of one streaming search:
-// the normalisation and boxcar machines plus the finalised events awaiting
-// the global watermark.
+// the normalisation and boxcar carries plus the finalised events awaiting
+// the global watermark. It is O(NormWindow + maxW) floats whatever the gulp
+// size and however long the observation runs; everything gulp-sized lives in
+// the worker's kernelScratch.
 type streamState struct {
 	dm     float64
 	sweep  int // trailing samples this trial's output loses to its dispersion sweep
@@ -357,28 +294,42 @@ type streamState struct {
 }
 
 // feed runs one dedispersed segment through normalise → boxcar → SPE
-// conversion, using z as reusable scratch for the normalised samples.
-func (st *streamState) feed(tsamp float64, seg, z []float64) []float64 {
+// conversion, sub-chunk by sub-chunk in the worker's scratch.
+func (st *streamState) feed(tsamp float64, seg []float64, ks *kernelScratch) {
 	st.fed += int64(len(seg))
-	t0 := time.Now()
-	z = st.norm.feed(seg, z[:0])
-	t1 := time.Now()
-	st.box.feed(z)
+	var norm, box time.Duration
+	for len(seg) > 0 {
+		m := min(len(seg), streamChunk)
+		dn, db := st.step(seg[:m], ks, false)
+		norm, box = norm+dn, box+db
+		seg = seg[m:]
+	}
 	st.collect(tsamp)
-	st.clock.add3(StageNormalise, t1.Sub(t0), StageBoxcar, time.Since(t1), "", 0)
-	return z
+	st.clock.add3(StageNormalise, norm, StageBoxcar, box, "", 0)
 }
 
 // finish flushes the normalisation tail and the final boxcar decisions.
-func (st *streamState) finish(tsamp float64, z []float64) []float64 {
-	t0 := time.Now()
-	z = st.norm.finish(z[:0])
-	t1 := time.Now()
-	st.box.feed(z)
-	st.box.finish()
+func (st *streamState) finish(tsamp float64, ks *kernelScratch) {
+	norm, box := st.step(nil, ks, true)
 	st.collect(tsamp)
-	st.clock.add3(StageNormalise, t1.Sub(t0), StageBoxcar, time.Since(t1), "", 0)
-	return z
+	st.clock.add3(StageNormalise, norm, StageBoxcar, box, "", 0)
+}
+
+// step advances both kernels by one sub-chunk (or, when last, by the
+// normaliser's flushed tail) and returns the time each took.
+func (st *streamState) step(seg []float64, ks *kernelScratch, last bool) (norm, box time.Duration) {
+	t0 := time.Now()
+	z := append(ks.z[:0], st.box.tail...)
+	if last {
+		z = st.norm.finish(ks, z)
+	} else {
+		z = st.norm.feed(seg, ks, z)
+	}
+	ks.z = z
+	t1 := time.Now()
+	ks.lad = ladderFor(ks.lad, st.box.widths)
+	st.box.feed(z, ks.lad, last)
+	return t1.Sub(t0), time.Since(t1)
 }
 
 func (st *streamState) collect(tsamp float64) {
@@ -447,7 +398,10 @@ type zeroDMState struct {
 	prevStart int
 }
 
-func (zd *zeroDMState) apply(blk *Block, nchan int) []float32 {
+// apply filters the block's fresh rows, split by row range over the pool:
+// rows are independent, so the output is byte-identical for any worker
+// count.
+func (zd *zeroDMState) apply(ctx context.Context, exec rdd.ExecConfig, blk *Block, nchan int) ([]float32, error) {
 	need := blk.Rows * nchan
 	if cap(zd.buf) < need {
 		grown := make([]float32, need)
@@ -459,20 +413,23 @@ func (zd *zeroDMState) apply(blk *Block, nchan int) []float32 {
 		off := (blk.Start - zd.prevStart) * nchan
 		copy(buf[:blk.Fresh*nchan], zd.buf[off:off+blk.Fresh*nchan])
 	}
-	for t := blk.Fresh; t < blk.Rows; t++ {
-		row := blk.Data[t*nchan : (t+1)*nchan]
-		var sum float64
-		for _, v := range row {
-			sum += float64(v)
+	parts, rows := exec.NumWorkers(), blk.Rows-blk.Fresh
+	err := rdd.RunParallel(ctx, exec, parts, func(p int) {
+		for t := blk.Fresh + p*rows/parts; t < blk.Fresh+(p+1)*rows/parts; t++ {
+			row := blk.Data[t*nchan : (t+1)*nchan]
+			var sum float64
+			for _, v := range row {
+				sum += float64(v)
+			}
+			m := float32(sum / float64(nchan))
+			orow := buf[t*nchan : (t+1)*nchan]
+			for i, v := range row {
+				orow[i] = v - m
+			}
 		}
-		m := float32(sum / float64(nchan))
-		orow := buf[t*nchan : (t+1)*nchan]
-		for i, v := range row {
-			orow[i] = v - m
-		}
-	}
+	})
 	zd.prevStart = blk.Start
-	return buf
+	return buf, err
 }
 
 // streamShifts holds every shift table the block kernels reuse on each
@@ -597,38 +554,35 @@ func dedisperseBlock(data []float32, nchan int, shifts []int, blkStart, outLo, o
 // a future one — centre before the global watermark, the minimum over
 // trials of each trial's earliest possible unemitted event — and hands
 // them to emit in the batch path's exact output order (SortByTime: time
-// ascending, ties by DM).
-func emitReady(trials []*streamState, all bool, emit func([]spe.SPE) error, stats *Stats) error {
-	var batch []spe.SPE
-	if all {
-		for _, st := range trials {
-			batch = append(batch, st.events...)
-			st.events = nil
-		}
-	} else {
-		wm := int64(math.MaxInt64)
+// ascending, ties by DM). The events are gathered in the driver-owned
+// *batch, reused gulp after gulp: emit must not retain the slice.
+func emitReady(trials []*streamState, all bool, emit func([]spe.SPE) error, stats *Stats, batch *[]spe.SPE) error {
+	out := (*batch)[:0]
+	wm := int64(math.MaxInt64)
+	if !all {
 		for _, st := range trials {
 			if h := int64(st.box.horizon()); h < wm {
 				wm = h
 			}
 		}
-		for _, st := range trials {
-			n := 0
-			for n < len(st.events) && st.events[n].Sample < wm {
-				n++
-			}
-			if n > 0 {
-				batch = append(batch, st.events[:n]...)
-				st.events = st.events[n:]
-			}
+	}
+	for _, st := range trials {
+		n := 0
+		for n < len(st.events) && st.events[n].Sample < wm {
+			n++
+		}
+		if n > 0 {
+			out = append(out, st.events[:n]...)
+			st.events = append(st.events[:0], st.events[n:]...)
 		}
 	}
-	if len(batch) == 0 {
+	*batch = out
+	if len(out) == 0 {
 		return nil
 	}
-	spe.SortByTime(batch)
-	stats.Events += len(batch)
-	return emit(batch)
+	spe.SortByTime(out)
+	stats.Events += len(out)
+	return emit(out)
 }
 
 // searchBlockStream is the streaming driver shared by SearchStream,
@@ -681,6 +635,7 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 		groups = sub.nominalGroups()
 	}
 	var zd zeroDMState
+	var batch []spe.SPE // emitReady's reused gather buffer
 	// Under the blocked kernel each gulp is staged channel-major once and
 	// shared read-only by every trial's (or nominal's) task — the staging
 	// cost amortises over the whole trial grid exactly as on the batch path.
@@ -703,13 +658,23 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 		data := blk.Data
 		if cfg.ZeroDM {
 			tz := time.Now()
-			data = zd.apply(blk, nchan)
+			data, err = zd.apply(ctx, cfg.Exec, blk, nchan)
 			sc.add(StageZeroDM, time.Since(tz))
+			if err != nil {
+				return stats, err
+			}
 		}
 		if cm != nil {
+			// Staged tile by tile over the pool: tiles write disjoint rows.
 			ts := time.Now()
-			cm.stage(data, blk.Rows, nchan)
+			cm.reset(blk.Rows, nchan)
+			err = rdd.RunParallel(ctx, cfg.Exec, (blk.Rows+stageRows-1)/stageRows, func(k int) {
+				cm.stageTile(data, k*stageRows)
+			})
 			sc.add(StageDedisperse, time.Since(ts))
+			if err != nil {
+				return stats, err
+			}
 		}
 		if sub != nil {
 			err = rdd.RunParallel(ctx, cfg.Exec, len(groups), func(k int) {
@@ -730,7 +695,7 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 					tc := time.Now()
 					bufs.combined = sub.combineBlock(bufs.sub, shifts.trialSub[i], blk.Start, outLo, outHi, bufs.combined)
 					dd += time.Since(tc)
-					bufs.z = st.feed(tsamp, bufs.combined, bufs.z)
+					st.feed(tsamp, bufs.combined, &bufs.kernelScratch)
 				}
 				sc.add(StageDedisperse, dd)
 			})
@@ -750,24 +715,24 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 					bufs.series = dedisperseBlock(data, nchan, shifts.trialCh[i], blk.Start, outLo, outHi, bufs.series)
 				}
 				sc.add(StageDedisperse, time.Since(td))
-				bufs.z = st.feed(tsamp, bufs.series, bufs.z)
+				st.feed(tsamp, bufs.series, &bufs.kernelScratch)
 			})
 		}
 		if err != nil {
 			return stats, err
 		}
-		if err := emitReady(trials, false, emit, &stats); err != nil {
+		if err := emitReady(trials, false, emit, &stats, &batch); err != nil {
 			return stats, err
 		}
 	}
 	if err := rdd.RunParallel(ctx, cfg.Exec, len(trials), func(i int) {
 		bufs := trialPool.Get().(*trialBuffers)
 		defer trialPool.Put(bufs)
-		bufs.z = trials[i].finish(tsamp, bufs.z)
+		trials[i].finish(tsamp, &bufs.kernelScratch)
 	}); err != nil {
 		return stats, err
 	}
-	if err := emitReady(trials, true, emit, &stats); err != nil {
+	if err := emitReady(trials, true, emit, &stats, &batch); err != nil {
 		return stats, err
 	}
 	for _, st := range trials {
@@ -783,8 +748,10 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 // SearchStream runs the streaming search over a SIGPROC byte stream —
 // header parsed eagerly, data consumed in cfg.BlockSamples gulps — and
 // emits event batches as blocks complete, in exactly the order (and with
-// exactly the records) the batch Search would return. The returned Header
-// is available to emit callbacks only through closure over the first
+// exactly the records) the batch Search would return. The driver reuses one
+// buffer for every batch: the slice passed to emit is only valid until emit
+// returns, so a consumer that keeps events must copy them. The returned
+// Header is available to emit callbacks only through closure over the first
 // return of ReadHeader; callers that need it before the first batch should
 // use ReadHeader + SearchBlocks directly.
 func SearchStream(ctx context.Context, r io.Reader, cfg Config, emit func([]spe.SPE) error) (Header, Stats, error) {
@@ -800,7 +767,8 @@ func SearchStream(ctx context.Context, r io.Reader, cfg Config, emit func([]spe.
 // SearchBlocks is SearchStream for a reader already positioned at the
 // first data byte of an observation with the given header — the entry
 // point for callers (the engine, the HTTP stream endpoint) that parse the
-// header first to derive keys and feature parameters.
+// header first to derive keys and feature parameters. As with SearchStream,
+// the batch is only valid until emit returns.
 func SearchBlocks(ctx context.Context, hdr Header, data io.Reader, cfg Config, emit func([]spe.SPE) error) (Stats, error) {
 	return searchBlockStream(ctx, hdr, func(overlap int) (blockSource, error) {
 		return newBlockReaderAt(hdr, data, cfg.BlockSamples, overlap)
@@ -810,7 +778,8 @@ func SearchBlocks(ctx context.Context, hdr Header, data io.Reader, cfg Config, e
 // SearchFilterbank runs the streaming driver over a filterbank already in
 // memory, serving it as zero-copy blocks — the path Search takes when
 // cfg.BlockSamples is set, and the cheapest way to check stream/batch
-// equivalence.
+// equivalence. As with SearchStream, the batch is only valid until emit
+// returns.
 func SearchFilterbank(ctx context.Context, fb *Filterbank, cfg Config, emit func([]spe.SPE) error) (Stats, error) {
 	var stats Stats
 	if err := fb.Validate(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -419,5 +420,105 @@ func TestSearchStreamUnknownLength(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, batch) {
 		t.Fatalf("unknown-length stream diverges from batch (%d vs %d events)", len(got), len(batch))
+	}
+}
+
+// TestSearchStreamCarryEdges drives the per-trial carry state through the
+// block sizes that stress it — a gulp equal to the sweep (the minimum the
+// driver accepts), gulps smaller than the widest boxcar and than the
+// normalisation window, and one that is not a multiple of the sub-chunk —
+// over a ragged width ladder, and through an observation shorter than the
+// normalisation window (the global-moments degeneration in finish). Every
+// combination must reproduce the batch search exactly.
+func TestSearchStreamCarryEdges(t *testing.T) {
+	// Pulses inside the first and the last half-window put events where the
+	// normaliser's start-clamped and end-clamped (flushed) windows apply.
+	const nsamples, tsamp = 8192, 256e-6
+	fb, err := Generate(SynthConfig{
+		NChans: 64, NSamples: nsamples, TsampSec: tsamp, Seed: 43,
+		Pulses: []InjectedPulse{
+			{TimeSec: 60 * tsamp, DM: 5, WidthMs: 1.5, SNR: 20},
+			{TimeSec: 1.0, DM: 12, WidthMs: 3, SNR: 16},
+			{TimeSec: (nsamples - 130) * tsamp, DM: 8, WidthMs: 1.5, SNR: 20},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dms, err := LinearDMs(0, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := []int{1, 3, 5, 7, 13, 64}
+	for _, plan := range []PlanKind{PlanBrute, PlanSubband} {
+		sub, _, err := resolveDedisperse(fb.Header, dms, DedispersePlan{Kind: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, _ := requiredSweep(fb.Header, dms, sub)
+		if sweep < 1 || sweep >= widths[len(widths)-1] {
+			t.Fatalf("plan %q: fixture sweep %d is not inside [1, maxW)", plan, sweep)
+		}
+		for _, window := range []int{512, fb.NSamples + 100} {
+			base := Config{DMs: dms, Widths: widths, Threshold: 5, NormWindow: window, ZeroDM: true, Plan: DedispersePlan{Kind: plan}}
+			batch, batchStats, err := Search(context.Background(), fb, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch) == 0 || batch[0].Sample > 256 || batch[len(batch)-1].Sample < nsamples-256 {
+				t.Fatalf("plan %q window %d: batch search has no events inside the first and last half-window", plan, window)
+			}
+			for _, block := range []int{sweep, 50, 300, streamChunk + 37} {
+				for _, workers := range []int{1, 3} {
+					cfg := base
+					cfg.BlockSamples = block
+					cfg.Exec = rdd.ExecConfig{Workers: workers}
+					got, stats, err := Search(context.Background(), fb, cfg)
+					if err != nil {
+						t.Fatalf("plan %q window %d block %d workers %d: %v", plan, window, block, workers, err)
+					}
+					if !reflect.DeepEqual(got, batch) {
+						t.Fatalf("plan %q window %d block %d workers %d: stream diverges from batch (%d vs %d events)",
+							plan, window, block, workers, len(got), len(batch))
+					}
+					if stats.Trials != batchStats.Trials || stats.Samples != batchStats.Samples || stats.Events != batchStats.Events {
+						t.Fatalf("plan %q window %d block %d workers %d: stats %+v != batch %+v", plan, window, block, workers, stats, batchStats)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamStateSizeBounded pins the bounded-memory claim of DESIGN.md §7
+// at the level it is made: the float64s one trial carries between gulps
+// number at most the normalisation window plus the widest boxcar (plus the
+// two prefix totals and each width's previous sum), whatever the gulp size
+// and however many gulps have gone by.
+func TestStreamStateSizeBounded(t *testing.T) {
+	const window = 2048
+	widths := DefaultWidths()
+	bound := (window + 1) + (widths[len(widths)-1] + 1) + 2 + len(widths)
+	rng := rand.New(rand.NewSource(5))
+	for _, block := range []int{1024, 16384} {
+		st := &streamState{norm: newNormStream(window), box: newBoxStream(widths, DefaultThreshold)}
+		var ks kernelScratch
+		seg := make([]float64, block)
+		for gulp := 1; gulp <= 32; gulp++ {
+			for i := range seg {
+				seg[i] = rng.NormFloat64()
+			}
+			st.feed(256e-6, seg, &ks)
+			if gulp != 2 && gulp != 32 {
+				continue
+			}
+			carried := len(st.norm.tail) + 2 + len(st.box.tail) + len(st.box.scans)
+			if carried > bound {
+				t.Fatalf("block %d gulp %d: trial carries %d float64s, want <= %d", block, gulp, carried, bound)
+			}
+			if carried < window {
+				t.Fatalf("block %d gulp %d: trial carries %d float64s — the count misses the normalisation tail", block, gulp, carried)
+			}
+		}
 	}
 }
