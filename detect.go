@@ -365,9 +365,9 @@ func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.
 		j.setDetections(len(events))
 		detectSecs := time.Since(start).Seconds()
 		// Batch DetectSeconds stops at the search, so the detect-phase
-		// stages (ingest, zerodm and the apportioned kernels) partition it
-		// here, before any downstream span can join the trace.
-		applyDetectStages(j.trace, searchStats.StageSeconds, detectSecs, detectStageKernels)
+		// stages (ingest and the apportioned zerodm and kernels) partition
+		// it here, before any downstream span can join the trace.
+		applyDetectStages(j.trace, searchStats, detectSecs, detectStageKernelsZeroDM)
 
 		key, err := observationKey(spec.Key, fb.Header)
 		if err != nil {
@@ -663,7 +663,7 @@ func (e *Engine) detectWorkStream(j *Job, spec DetectJob, grid *dmgrid.Grid, kin
 		// is measured after the final sift view and the fold below makes
 		// ALL stage walls partition it (the e2e contract in Result.Stages).
 		res.DetectSeconds = time.Since(start).Seconds()
-		applyDetectStages(j.trace, stats.StageSeconds, res.DetectSeconds, detectStageKernels)
+		applyDetectStages(j.trace, stats, res.DetectSeconds, detectStageKernels)
 		return res, nil
 	}
 }

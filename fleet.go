@@ -454,8 +454,7 @@ func (e *Engine) detectWorkFleet(j *Job, spec DetectJob, grid *dmgrid.Grid) func
 		// is concurrent busy time, so zerodm joins the apportioned kernels
 		// and ALL stage walls partition the elapsed detect time.
 		res.DetectSeconds = time.Since(start).Seconds()
-		applyDetectStages(j.trace, stats.StageSeconds, res.DetectSeconds,
-			append([]string{sps.StageZeroDM}, detectStageKernels...))
+		applyDetectStages(j.trace, stats, res.DetectSeconds, detectStageKernelsZeroDM)
 		return res, nil
 	}
 }

@@ -88,10 +88,13 @@ func sampleOp(b *testing.B, op func()) *benchjson.Sample {
 // amortised over the trial grid exactly as in production).
 func dedisperseAll(b *testing.B, fb *Filterbank, dms []float64, workers int, latency time.Duration, cm *chanMajor) {
 	b.Helper()
+	exec := rdd.ExecConfig{Workers: workers}
 	if cm != nil {
-		cm.stage(fb.Data, fb.NSamples, fb.NChans)
+		if err := cm.stage(context.Background(), exec, fb.Data, fb.NSamples, fb.NChans, false, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
-	if err := rdd.RunParallel(context.Background(), rdd.ExecConfig{Workers: workers}, len(dms), func(t int) {
+	if err := rdd.RunParallel(context.Background(), exec, len(dms), func(t int) {
 		if latency > 0 {
 			time.Sleep(latency)
 		}
@@ -118,11 +121,14 @@ func dedisperseAll(b *testing.B, fb *Filterbank, dms []float64, workers int, lat
 // uses, mirroring what dedisperseAll measures for brute force.
 func subbandDedisperseAll(b *testing.B, fb *Filterbank, plan *SubbandPlan, workers int, cm *chanMajor) {
 	b.Helper()
+	exec := rdd.ExecConfig{Workers: workers}
 	if cm != nil {
-		cm.stage(fb.Data, fb.NSamples, fb.NChans)
+		if err := cm.stage(context.Background(), exec, fb.Data, fb.NSamples, fb.NChans, false, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	groups := plan.nominalGroups()
-	if err := rdd.RunParallel(context.Background(), rdd.ExecConfig{Workers: workers}, len(groups), func(k int) {
+	if err := rdd.RunParallel(context.Background(), exec, len(groups), func(k int) {
 		if len(groups[k]) == 0 {
 			return
 		}

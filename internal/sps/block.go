@@ -2,10 +2,8 @@ package sps
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Block is one gulp of a filterbank observation: Rows consecutive samples
@@ -145,17 +143,7 @@ func (br *BlockReader) Next() (*Block, error) {
 			return nil, fmt.Errorf("sps: reading data block: %w", err)
 		}
 		got = n / rowBytes
-		dst := br.data[keep*nchan : (keep+got)*nchan]
-		switch br.hdr.NBits {
-		case 8:
-			for i, b := range br.raw[:len(dst)] {
-				dst[i] = float32(b)
-			}
-		case 32:
-			for i := range dst {
-				dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(br.raw[4*i:]))
-			}
-		}
+		decodeValues(br.data[keep*nchan:(keep+got)*nchan], br.raw, br.hdr.NBits)
 	}
 	if br.hdr.NSamples > 0 && br.read+got == br.hdr.NSamples {
 		br.done = true

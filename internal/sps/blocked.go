@@ -1,6 +1,12 @@
 package sps
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"drapid/internal/rdd"
+)
 
 // This file is the cache-blocked dedispersion kernel (DESIGN.md §11). The
 // sample-major filterbank layout (Data[t*NChans+ch]) is what makes the
@@ -9,8 +15,9 @@ import "fmt"
 // kernel is bound by wasted memory traffic, not arithmetic. The blocked
 // kernel stages a data block ONCE into channel-major order — each channel's
 // samples contiguous — and then accumulates trials in L1-sized time tiles:
-// the output tile stays resident while one channel's contiguous span
-// streams through, so every fetched line is fully consumed and the staging
+// the output tile stays resident while the channels' contiguous spans
+// stream through four at a time, so every fetched line is fully consumed,
+// the tile is loaded and stored once per four channels, and the staging
 // cost is amortised over the whole trial grid (batch) or every trial of a
 // gulp (streaming).
 //
@@ -90,15 +97,6 @@ type chanMajor struct {
 // while the destination writes stream sequentially.
 const stageRows = 256
 
-// stage fills cm from a sample-major block of rows × nchan values,
-// reusing cm's buffer when it suffices.
-func (cm *chanMajor) stage(data []float32, rows, nchan int) {
-	cm.reset(rows, nchan)
-	for r0 := 0; r0 < rows; r0 += stageRows {
-		cm.stageTile(data, r0)
-	}
-}
-
 // reset sizes cm for a block of rows × nchan values, reusing its buffer
 // when it suffices; the caller then fills every stageRows-row tile.
 func (cm *chanMajor) reset(rows, nchan int) {
@@ -110,20 +108,65 @@ func (cm *chanMajor) reset(rows, nchan int) {
 	cm.rows, cm.nchan = rows, nchan
 }
 
+// stage fills cm from a sample-major block of rows × nchan values, tile by
+// tile over the pool: tiles write disjoint rows of every column, so the
+// staging is byte-identical for any worker count. With zeroDM the zero-DM
+// filter is fused into the tile (stageTile) instead of materialising a
+// filtered copy of the block first. The tiles' busy time lands on sc: the
+// row means under StageZeroDM, the transpose under StageDedisperse.
+func (cm *chanMajor) stage(ctx context.Context, exec rdd.ExecConfig, data []float32, rows, nchan int, zeroDM bool, sc *stageClock) error {
+	cm.reset(rows, nchan)
+	return rdd.RunParallel(ctx, exec, (rows+stageRows-1)/stageRows, func(k int) {
+		r0 := k * stageRows
+		t0 := time.Now()
+		if !zeroDM {
+			cm.stageTile(data, r0, nil)
+			sc.add(StageDedisperse, time.Since(t0))
+			return
+		}
+		var buf [stageRows]float32
+		mean := rowMeans(data, r0, min(r0+stageRows, rows), nchan, buf[:0])
+		t1 := time.Now()
+		cm.stageTile(data, r0, mean)
+		sc.add3(StageZeroDM, t1.Sub(t0), StageDedisperse, time.Since(t1), "", 0)
+	})
+}
+
+// rowMeans appends the zero-DM mean of each row in [r0, r1) to mean:
+// ZeroDMFilter's float64 row sum, rounded to float32 exactly as it is there.
+func rowMeans(data []float32, r0, r1, nchan int, mean []float32) []float32 {
+	for r := r0; r < r1; r++ {
+		var sum float64
+		for _, v := range data[r*nchan : (r+1)*nchan] {
+			sum += float64(v)
+		}
+		mean = append(mean, float32(sum/float64(nchan)))
+	}
+	return mean
+}
+
 // stageTile transposes the tile of rows [r0, r0+stageRows) from the
-// sample-major block into cm. Tiles write disjoint ranges of every column,
-// so they may be staged concurrently.
-func (cm *chanMajor) stageTile(data []float32, r0 int) {
+// sample-major block into cm. A non-nil mean holds the tile's zero-DM row
+// means, subtracted on the way through — col[r] = data[r*nchan+ch] −
+// mean[r−r0], the same float32 arithmetic as ZeroDMFilter, so the staged
+// block is bit-identical to staging the filtered copy.
+func (cm *chanMajor) stageTile(data []float32, r0 int, mean []float32) {
 	rows, nchan := cm.rows, cm.nchan
 	r1 := min(r0+stageRows, rows)
-	if nchan == 1 {
+	if nchan == 1 && mean == nil {
 		copy(cm.data[r0:r1], data[r0:r1])
 		return
 	}
 	for ch := 0; ch < nchan; ch++ {
 		col := cm.data[ch*rows : (ch+1)*rows]
+		if mean == nil {
+			for r := r0; r < r1; r++ {
+				col[r] = data[r*nchan+ch]
+			}
+			continue
+		}
 		for r := r0; r < r1; r++ {
-			col[r] = data[r*nchan+ch]
+			col[r] = data[r*nchan+ch] - mean[r-r0]
 		}
 	}
 }
@@ -131,13 +174,22 @@ func (cm *chanMajor) stageTile(data []float32, r0 int) {
 // col returns channel ch's contiguous sample column.
 func (cm *chanMajor) col(ch int) []float32 { return cm.data[ch*cm.rows : (ch+1)*cm.rows] }
 
+// span returns the n samples of channel ch's column starting at row off.
+func (cm *chanMajor) span(ch, off, n int) []float32 { return cm.col(ch)[off:][:n] }
+
+// tileSamples is the time-tile length every hot loop of the search walks
+// (DESIGN.md §11): a float64 tile of 4096 samples is 32 KiB, so the tile
+// being written stays L1-resident while several input streams pass it, and
+// the tile-sized scratch of the downstream kernels (prefix sums, the boxcar
+// ladder's window sums) stays in L2 whatever the series length.
+const tileSamples = 1 << 12
+
 // planTileSamples picks the time-tile length of the blocked accumulation:
-// the largest power of two no longer than the series whose float64 output
-// tile (8 bytes a sample, 32 KiB at the 4096 cap) stays L1-resident while
-// a channel's source span streams past it. The floor keeps degenerate
-// series from shattering into per-sample tiles.
+// the largest power of two no longer than the series, capped at
+// tileSamples. The floor keeps degenerate series from shattering into
+// per-sample tiles.
 func planTileSamples(n int) int {
-	tile := 1 << 12
+	tile := tileSamples
 	for tile > n && tile > 64 {
 		tile >>= 1
 	}
@@ -147,13 +199,23 @@ func planTileSamples(n int) int {
 // accumulate adds channels [chLo, chHi) into the float64 output tile
 // out[t0:t1): out[t] += col(ch)[srcOff + t + shifts[ch]]. The caller
 // guarantees every read lands inside the staged block (the same geometry
-// the scalar kernels enforce). Channels ascend, so each output sample's
-// float64 accumulation order matches Dedisperse exactly.
+// the scalar kernels enforce). Four channels stream past the tile per pass
+// — one load and store of the tile per four channels instead of per
+// channel — with the adds kept in ascending-channel order, so each output
+// sample's float64 accumulation order matches Dedisperse exactly.
 func (cm *chanMajor) accumulate(shifts []int, chLo, chHi, srcOff, t0, t1 int, out []float64) {
-	for ch := chLo; ch < chHi; ch++ {
-		src := cm.col(ch)[srcOff+shifts[ch]+t0:]
-		dst := out[t0:t1]
-		for t, v := range src[:len(dst)] {
+	dst := out[t0:t1]
+	off, n := srcOff+t0, len(dst)
+	ch := chLo
+	for ; ch+4 <= chHi; ch += 4 {
+		a, b := cm.span(ch, off+shifts[ch], n), cm.span(ch+1, off+shifts[ch+1], n)
+		c, d := cm.span(ch+2, off+shifts[ch+2], n), cm.span(ch+3, off+shifts[ch+3], n)
+		for t := range dst {
+			dst[t] = (((dst[t] + float64(a[t])) + float64(b[t])) + float64(c[t])) + float64(d[t])
+		}
+	}
+	for ; ch < chHi; ch++ {
+		for t, v := range cm.span(ch, off+shifts[ch], n) {
 			dst[t] += float64(v)
 		}
 	}
@@ -162,10 +224,18 @@ func (cm *chanMajor) accumulate(shifts []int, chLo, chHi, srcOff, t0, t1 int, ou
 // accumulateF32 is accumulate with float32 accumulation — the subband
 // stage-1 arithmetic, matching SubbandPlan.stage1's per-sample order.
 func (cm *chanMajor) accumulateF32(shifts []int, chLo, chHi, srcOff, t0, t1 int, out []float32) {
-	for ch := chLo; ch < chHi; ch++ {
-		src := cm.col(ch)[srcOff+shifts[ch]+t0:]
-		dst := out[t0:t1]
-		for t, v := range src[:len(dst)] {
+	dst := out[t0:t1]
+	off, n := srcOff+t0, len(dst)
+	ch := chLo
+	for ; ch+4 <= chHi; ch += 4 {
+		a, b := cm.span(ch, off+shifts[ch], n), cm.span(ch+1, off+shifts[ch+1], n)
+		c, d := cm.span(ch+2, off+shifts[ch+2], n), cm.span(ch+3, off+shifts[ch+3], n)
+		for t := range dst {
+			dst[t] = (((dst[t] + a[t]) + b[t]) + c[t]) + d[t]
+		}
+	}
+	for ; ch < chHi; ch++ {
+		for t, v := range cm.span(ch, off+shifts[ch], n) {
 			dst[t] += v
 		}
 	}
@@ -173,22 +243,17 @@ func (cm *chanMajor) accumulateF32(shifts []int, chLo, chHi, srcOff, t0, t1 int,
 
 // dedisperse runs one trial's full accumulation over the staged block:
 // out[t] = Σ_ch col(ch)[srcOff + t + shifts[ch]] for t in [0, n), walked in
-// L1-sized time tiles. out is zeroed here; the result is bit-identical to
-// Dedisperse over the same rows.
+// L1-sized time tiles, each zeroed as it is reached. The result is
+// bit-identical to Dedisperse over the same rows.
 func (cm *chanMajor) dedisperse(shifts []int, srcOff, n int, out []float64) []float64 {
 	if cap(out) < n {
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	for t := range out {
-		out[t] = 0
-	}
 	tile := planTileSamples(n)
 	for t0 := 0; t0 < n; t0 += tile {
-		t1 := t0 + tile
-		if t1 > n {
-			t1 = n
-		}
+		t1 := min(t0+tile, n)
+		clear(out[t0:t1])
 		cm.accumulate(shifts, 0, cm.nchan, srcOff, t0, t1, out)
 	}
 	return out
@@ -201,15 +266,10 @@ func (cm *chanMajor) dedisperseF32(shifts []int, chLo, chHi, srcOff, n int, out 
 		out = make([]float32, n)
 	}
 	out = out[:n]
-	for t := range out {
-		out[t] = 0
-	}
 	tile := planTileSamples(n)
 	for t0 := 0; t0 < n; t0 += tile {
-		t1 := t0 + tile
-		if t1 > n {
-			t1 = n
-		}
+		t1 := min(t0+tile, n)
+		clear(out[t0:t1])
 		cm.accumulateF32(shifts, chLo, chHi, srcOff, t0, t1, out)
 	}
 	return out

@@ -22,6 +22,13 @@ func Normalize(x []float64, window int) {
 // normalizeInto is Normalize with caller-owned prefix-sum scratch: the two
 // buffers are grown as needed and returned so pooled search paths reuse
 // them across trials instead of allocating 2·(n+1) float64 per trial.
+//
+// The series splits into three regions by how sample i's centred window
+// [i−half, i−half+window) meets the series ends. Windows clamped to the
+// start all span [0, window) and windows clamped to the end [n−window, n),
+// so each clamped region shares one mean and one square root — under
+// global moments that is every sample. Only the region between slides, one
+// window per sample (normalizeSliding).
 func normalizeInto(x []float64, window int, sum, sq []float64) ([]float64, []float64) {
 	n := len(x)
 	if n == 0 {
@@ -32,25 +39,41 @@ func normalizeInto(x []float64, window int, sum, sq []float64) ([]float64, []flo
 	}
 	sum, sq = prefixSums(x, 0, 0, sum, sq)
 	half := window / 2
-	for i := range x {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := lo + window
-		if hi > n {
-			hi = n
-			lo = hi - window
-		}
-		w := float64(hi - lo)
-		mean := (sum[hi] - sum[lo]) / w
-		variance := (sq[hi]-sq[lo])/w - mean*mean
-		if variance < 1e-12 {
-			variance = 1e-12
-		}
-		x[i] = (x[i] - mean) / math.Sqrt(variance)
+	end := half + n - window // the first sample whose window is [n−window, n)
+	mean, sd := windowMoments(sum, sq, 0, window)
+	for i, v := range x[:half] {
+		x[i] = (v - mean) / sd
+	}
+	normalizeSliding(x[half:end], x[half:end], sum, sq, window)
+	mean, sd = windowMoments(sum, sq, n-window, n)
+	for i, v := range x[end:] {
+		x[end+i] = (v - mean) / sd
 	}
 	return sum, sq
+}
+
+// windowMoments returns the mean and standard deviation of the window
+// [lo, hi) from prefix sums — the one definition of Normalize's moments,
+// batch and stream; the variance floor guards flat stretches.
+func windowMoments(sum, sq []float64, lo, hi int) (mean, sd float64) {
+	w := float64(hi - lo)
+	mean = (sum[hi] - sum[lo]) / w
+	variance := (sq[hi]-sq[lo])/w - mean*mean
+	if variance < 1e-12 {
+		variance = 1e-12
+	}
+	return mean, math.Sqrt(variance)
+}
+
+// normalizeSliding writes dst[k] = (x[k] − mean)/sd under windowMoments of
+// the window [k, k+window) of the prefix sums: one window per sample, no
+// clamping. dst may alias x.
+func normalizeSliding(dst, x, sum, sq []float64, window int) {
+	dst = dst[:len(x)]
+	for k, v := range x {
+		mean, sd := windowMoments(sum, sq, k, k+window)
+		dst[k] = (v - mean) / sd
+	}
 }
 
 // prefixSums fills sum and sq (grown as needed, length len(x)+1) with the
@@ -140,6 +163,7 @@ type boxLadder struct {
 	splitB []int // per order index: right operand width (0 for width 1)
 	idx    map[int]int
 	sums   [][]float64
+	scans  []rawScan   // per-requested-width scan state of the series in detect
 	cands  []Detection // scratch candidate list reused across calls
 }
 
@@ -232,39 +256,43 @@ func (l *boxLadder) compute(z []float64) {
 	}
 }
 
-// detect runs the matched-filter scan over the ladder's sums. Decisions
-// (threshold crossing, local-maximum shape) are made on the raw window
-// sums against threshold·√w — one multiply per width rather than per
-// sample, and the exact basis the streaming boxcar replays — and the
-// emitted SNR is sum/√w as ever. The returned slice aliases the ladder's
-// candidate scratch when no merging occurs; callers convert or copy before
-// the ladder's next use.
+// detect runs the matched-filter scan over z. Decisions (threshold
+// crossing, local-maximum shape) are made on the raw window sums against
+// threshold·√w — one multiply per width rather than per sample, and the
+// exact basis the streaming boxcar replays — and the emitted SNR is sum/√w
+// as ever. Start positions are walked in tileSamples tiles: the ladder
+// computes the window sums of one tile plus its maxW-sample lookahead,
+// every requested width scans the tile's positions with scanMaxima
+// (carrying the sum before the tile as prev), and the end-of-series rule —
+// the last start position has no successor to lose to — applies once, in
+// the tile that holds it. The ladder's sums are therefore tile-sized
+// whatever the series length. The returned slice aliases the ladder's
+// candidate scratch; callers convert or copy before the ladder's next use.
 func (l *boxLadder) detect(z []float64, threshold float64) []Detection {
 	n := len(z)
-	l.compute(z)
+	if len(l.req) == 0 {
+		return nil
+	}
+	maxW := l.req[len(l.req)-1]
+	l.scans = newScans(l.scans, l.req, threshold)
 	cands := l.cands[:0]
-	for _, w := range l.req {
-		if w > n {
-			continue
-		}
-		s := l.sums[l.idx[w]]
-		raw := threshold * math.Sqrt(float64(w))
-		norm := 1 / math.Sqrt(float64(w))
-		last := n - w // inclusive last start
-		prev := s[0]
-		cur := prev
-		for t := 0; t <= last; t++ {
-			next := cur
-			if t < last {
-				next = s[t+1]
+	for t0 := 0; t0 < n; t0 += tileSamples {
+		t1 := min(t0+tileSamples, n)
+		l.compute(z[t0:min(t1+maxW, n)])
+		for i := range l.scans {
+			s := &l.scans[i]
+			last := n - s.w // the last start position
+			if last < t0 {
+				break // widths ascend: every wider one is past its last start too
 			}
-			// Local maximum (plateaus break to the left) above threshold.
-			if cur >= raw && cur >= prev && cur > next {
-				cands = append(cands, Detection{Start: t, Width: w, SNR: cur * norm})
-			} else if cur >= raw && t == last && cur >= prev {
-				cands = append(cands, Detection{Start: t, Width: w, SNR: cur * norm})
+			sums := l.sums[l.idx[s.w]]
+			cands, s.prev = scanMaxima(cands, sums, 0, min(t1, last)-t0, t0, s.w, s.prev, s.rawThresh, s.norm)
+			if last >= t1 {
+				continue
 			}
-			prev, cur = cur, next
+			if cur := sums[last-t0]; cur >= s.rawThresh && cur >= s.prev {
+				cands = append(cands, Detection{Start: last, Width: s.w, SNR: cur * s.norm})
+			}
 		}
 	}
 	l.cands = cands

@@ -205,6 +205,90 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// TestKernelRemainderPaths drives the four-stream passes through every
+// remainder they can leave: 1–9 channels (and two wider bands) under the
+// brute plan, and subband counts that do not divide by four — including
+// plans whose last subband is narrower than the rest — under the subband
+// plan, each against the scalar batch oracle, batch and stream (the scalar
+// stream kernel already has TestKernelEquivalenceRandom). Every leg
+// runs with ZeroDM, so the blocked side's fused staging is compared with
+// ZeroDMFilter bit-for-bit, and a batch-only leg takes global moments
+// (NormWindow 0), the all-clamped case of the normaliser.
+func TestKernelRemainderPaths(t *testing.T) {
+	ctx := context.Background()
+	narrowLast, events := 0, 0
+	for _, nchans := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33} {
+		fb, err := Generate(SynthConfig{
+			NChans: nchans, NSamples: tileSamples + 517, TsampSec: 256e-6,
+			Fch1MHz: 1500, FoffMHz: -270 / float64(nchans),
+			Seed: int64(100 + nchans),
+			Pulses: []InjectedPulse{
+				{TimeSec: 0.3, DM: 20, WidthMs: 1.5, SNR: 16},
+				{TimeSec: 0.8, DM: 70, WidthMs: 3, SNR: 20},
+			},
+			RFI: []RFIBurst{{TimeSec: 0.55, WidthMs: 2, Amp: 3}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dms, err := LinearDMs(0, 100, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := []DedispersePlan{{Kind: PlanBrute}}
+		for _, nsub := range []int{1, 2, 3, 5, 7} {
+			if nsub <= nchans {
+				plans = append(plans, DedispersePlan{Kind: PlanSubband, NSub: nsub})
+			}
+		}
+		for _, plan := range plans {
+			tag := fmt.Sprintf("nchans %d plan %q nsub %d", nchans, plan.Kind, plan.NSub)
+			sub, _, err := resolveDedisperse(fb.Header, dms, plan)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if sub != nil && sub.NSub*sub.chansPer != nchans {
+				narrowLast++
+			}
+			sweep, _ := requiredSweep(fb.Header, dms, sub)
+			for _, window := range []int{0, 512} {
+				base := Config{DMs: dms, Widths: []int{1, 3, 5, 7, 13, 64}, Threshold: 5, NormWindow: window, ZeroDM: true, Plan: plan}
+				oracle := base
+				oracle.Plan.Kernel = KernelScalar
+				want, _, err := Search(ctx, fb, oracle)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", tag, err)
+				}
+				events += len(want)
+				legs := map[string]Config{"batch blocked": withWorkers(base, 1)}
+				if window > 0 {
+					legs["batch blocked"] = withWorkers(base, 3)
+					// The stream cannot take global moments.
+					stream := withWorkers(base, 2)
+					stream.BlockSamples = sweep + 700
+					legs["stream blocked"] = stream
+				}
+				for label, cfg := range legs {
+					got, _, err := Search(ctx, fb, cfg)
+					if err != nil {
+						t.Fatalf("%s window %d: %s: %v", tag, window, label, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s window %d: %s: events diverge from scalar oracle (%d vs %d)",
+							tag, window, label, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+	if narrowLast == 0 {
+		t.Fatal("no subband plan had a narrower last subband — the subRange clamp never ran")
+	}
+	if events == 0 {
+		t.Fatal("no case produced events — the equivalence checks compared nothing")
+	}
+}
+
 // refWindowSum is the slow recursive reference for the BoxDIT recurrence:
 // the same decomposition tree the ladder materialises, evaluated
 // independently per (width, offset). Because it performs the identical

@@ -24,10 +24,12 @@ type Config struct {
 	// NormWindow is the running-normalisation window in samples
 	// (Normalize); zero uses the global moments of each trial's series.
 	NormWindow int
-	// ZeroDM applies ZeroDMFilter before dedispersion, cancelling
-	// broadband RFI at the cost of one filtered copy of the data block
-	// (and of sensitivity to genuinely zero-DM signals). Detect jobs
-	// submitted through the engine enable it by default.
+	// ZeroDM applies the zero-DM filter (ZeroDMFilter's arithmetic) before
+	// dedispersion, cancelling broadband RFI at the cost of sensitivity to
+	// genuinely zero-DM signals. The batch search fuses it into the blocked
+	// kernel's channel-major staging, so it costs no filtered copy of the
+	// data block there. Detect jobs submitted through the engine enable it
+	// by default.
 	ZeroDM bool
 	// Plan selects the dedispersion strategy (DESIGN.md §6): the zero
 	// value picks two-stage subband dedispersion with an auto-chosen
@@ -78,10 +80,12 @@ type Stats struct {
 	Plan string
 	// StageSeconds breaks the search down by pipeline stage (DESIGN.md
 	// §10). Sequential driver phases (ingest — streaming block reads —
-	// and zerodm) record wall seconds; the concurrent kernels
-	// (dedisperse, normalise, boxcar) record *busy* seconds summed
-	// across workers, which the engine apportions onto the measured
-	// fan-out wall so a job's stage walls partition its elapsed time.
+	// and the streaming driver's per-gulp zerodm) record wall seconds;
+	// the concurrent kernels (dedisperse, normalise, boxcar, and the
+	// batch search's zerodm, fused into its parallel staging tiles)
+	// record *busy* seconds summed across workers, which the engine
+	// apportions onto the measured fan-out wall so a job's stage walls
+	// partition its elapsed time.
 	// Fleet shards ship this map back to the coordinator, which merges
 	// it additively across shards.
 	StageSeconds map[string]float64
@@ -227,7 +231,17 @@ func Search(ctx context.Context, fb *Filterbank, cfg Config) ([]spe.SPE, Stats, 
 	}
 	stats.Plan = planDesc
 	sc := newStageClock()
-	if cfg.ZeroDM {
+	// Under the blocked kernel (DESIGN.md §11) the filterbank is staged
+	// channel-major once — amortised over the whole trial grid — with the
+	// zero-DM filter fused into the staging tiles; only the scalar oracle
+	// reads a sample-major filtered copy.
+	var cm *chanMajor
+	if cfg.Plan.Kernel != KernelScalar {
+		cm = &chanMajor{}
+		if err := cm.stage(ctx, cfg.Exec, fb.Data, fb.NSamples, fb.NChans, cfg.ZeroDM, sc); err != nil {
+			return nil, stats, err
+		}
+	} else if cfg.ZeroDM {
 		t0 := time.Now()
 		fb = ZeroDMFilter(fb)
 		sc.add(StageZeroDM, time.Since(t0))
@@ -237,9 +251,9 @@ func Search(ctx context.Context, fb *Filterbank, cfg Config) ([]spe.SPE, Stats, 
 	searched := make([]int64, len(cfg.DMs))
 	errs := make([]error, len(cfg.DMs))
 	if sub != nil {
-		err = searchSubband(ctx, fb, cfg, sub, widths, threshold, perTrial, searched, errs, sc)
+		err = searchSubband(ctx, fb, cm, cfg, sub, widths, threshold, perTrial, searched, errs, sc)
 	} else {
-		err = searchBrute(ctx, fb, cfg, widths, threshold, perTrial, searched, errs, sc)
+		err = searchBrute(ctx, fb, cm, cfg, widths, threshold, perTrial, searched, errs, sc)
 	}
 	stats.StageSeconds = sc.seconds()
 	if err != nil {
@@ -310,22 +324,15 @@ func trialRange(cfg Config) (lo, hi int) {
 
 // searchBrute is the one-stage strategy: every trial DM in the configured
 // trial range dedisperses the full band independently, fanned out per
-// trial on the pool. Under the blocked kernel (DESIGN.md §11) the
-// filterbank is staged channel-major once — amortised over the whole
-// trial grid — and grids narrower than the pool switch to a per-time-tile
-// fan-out so the workers stay busy even on a single trial.
-func searchBrute(ctx context.Context, fb *Filterbank, cfg Config, widths []int, threshold float64,
+// trial on the pool. A non-nil cm (the blocked kernel's channel-major
+// staging) replaces the sample-major walk, and grids narrower than the
+// pool then switch to a per-time-tile fan-out so the workers stay busy
+// even on a single trial.
+func searchBrute(ctx context.Context, fb *Filterbank, cm *chanMajor, cfg Config, widths []int, threshold float64,
 	perTrial [][]spe.SPE, searched []int64, errs []error, sc *stageClock) error {
 	lo, hi := trialRange(cfg)
-	var cm *chanMajor
-	if cfg.Plan.Kernel != KernelScalar {
-		t0 := time.Now()
-		cm = &chanMajor{}
-		cm.stage(fb.Data, fb.NSamples, fb.NChans)
-		sc.add(StageDedisperse, time.Since(t0))
-		if hi-lo < cfg.Exec.NumWorkers() {
-			return searchBruteTiled(ctx, fb, cm, cfg, lo, hi, widths, threshold, perTrial, searched, sc)
-		}
+	if cm != nil && hi-lo < cfg.Exec.NumWorkers() {
+		return searchBruteTiled(ctx, fb, cm, cfg, lo, hi, widths, threshold, perTrial, searched, sc)
 	}
 	return rdd.RunParallel(ctx, cfg.Exec, hi-lo, func(k int) {
 		i := lo + k
@@ -420,16 +427,9 @@ func searchBruteTiled(ctx context.Context, fb *Filterbank, cm *chanMajor, cfg Co
 // worker count, exactly as on the brute path. Per-trial failures land in
 // errs[i] exactly as on the brute path, so Search's fold reports them with
 // the trial DM attached.
-func searchSubband(ctx context.Context, fb *Filterbank, cfg Config, plan *SubbandPlan, widths []int, threshold float64,
+func searchSubband(ctx context.Context, fb *Filterbank, cm *chanMajor, cfg Config, plan *SubbandPlan, widths []int, threshold float64,
 	perTrial [][]spe.SPE, searched []int64, errs []error, sc *stageClock) error {
 	groups := plan.nominalGroups()
-	var cm *chanMajor
-	if cfg.Plan.Kernel != KernelScalar {
-		t0 := time.Now()
-		cm = &chanMajor{}
-		cm.stage(fb.Data, fb.NSamples, fb.NChans)
-		sc.add(StageDedisperse, time.Since(t0))
-	}
 	lo, hi := trialRange(cfg)
 	if lo != 0 || hi != len(cfg.DMs) {
 		// Restricted search: drop out-of-range fine trials from every

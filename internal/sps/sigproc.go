@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // SIGPROC filterbank files carry a self-describing binary header — a
@@ -177,55 +178,93 @@ func ReadHeader(r io.Reader) (Header, error) {
 	return hdr, nil
 }
 
+// readChunk is the size of the buffered reader Read decodes through: the
+// only bytes of the data block ever held in encoded form.
+const readChunk = 1 << 16
+
 // Read parses a complete filterbank (header + data) from r. When the
 // header carries nsamples the data block must supply exactly that many
-// samples; otherwise samples are read to EOF and NSamples is derived.
+// samples; otherwise samples are read to EOF and NSamples is derived. The
+// samples decode straight out of the read buffer into Data, so a read costs
+// one float32 block, never an encoded twin of the file beside it.
 func Read(r io.Reader) (*Filterbank, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, readChunk)
 	hdr, err := ReadHeader(br)
 	if err != nil {
 		return nil, err
 	}
 	bytesPer := hdr.NBits / 8
-	if hdr.NSamples > 0 && hdr.NSamples*hdr.NChans > maxSamples {
-		return nil, fmt.Errorf("sps: %d×%d data block exceeds %d values", hdr.NSamples, hdr.NChans, maxSamples)
-	}
-	var raw []byte
 	if hdr.NSamples > 0 {
-		want := hdr.NSamples * hdr.NChans * bytesPer
-		raw = make([]byte, want)
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, fmt.Errorf("sps: reading %d data bytes: %w", want, err)
+		if hdr.NSamples*hdr.NChans > maxSamples {
+			return nil, fmt.Errorf("sps: %d×%d data block exceeds %d values", hdr.NSamples, hdr.NChans, maxSamples)
 		}
-	} else {
-		// Same total-value bound as the explicit-nsamples path: one extra
-		// sample of headroom in the read limit makes the overflow
-		// detectable.
-		perSample := hdr.NChans * bytesPer
-		raw, err = io.ReadAll(io.LimitReader(br, int64(maxSamples)*int64(bytesPer)+int64(perSample)))
+		data := make([]float32, hdr.NSamples*hdr.NChans)
+		n, ragged, err := readValues(br, hdr.NBits, data)
+		if n < len(data) {
+			if err == io.EOF && n+ragged > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("sps: reading %d data bytes: %w", len(data)*bytesPer, err)
+		}
+		return &Filterbank{Header: hdr, Data: data}, nil
+	}
+	// Same total-value bound as the explicit-nsamples path: asking for one
+	// value beyond it makes the overflow detectable.
+	var data []float32
+	for {
+		room := min(readChunk, maxSamples+1-len(data))
+		data = slices.Grow(data, room)
+		n, ragged, err := readValues(br, hdr.NBits, data[len(data):len(data)+room])
+		data = data[:len(data)+n]
+		if len(data) > maxSamples {
+			return nil, fmt.Errorf("sps: data block exceeds %d values", maxSamples)
+		}
+		if err == io.EOF {
+			perSample := hdr.NChans * bytesPer
+			if total := len(data)*bytesPer + ragged; total%perSample != 0 {
+				return nil, fmt.Errorf("sps: data block of %d bytes is not a whole number of %d-byte samples", total, perSample)
+			}
+			hdr.NSamples = len(data) / hdr.NChans
+			return &Filterbank{Header: hdr, Data: data}, nil
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sps: reading data: %w", err)
 		}
-		if len(raw)/bytesPer > maxSamples {
-			return nil, fmt.Errorf("sps: data block exceeds %d values", maxSamples)
-		}
-		if len(raw)%perSample != 0 {
-			return nil, fmt.Errorf("sps: data block of %d bytes is not a whole number of %d-byte samples", len(raw), perSample)
-		}
-		hdr.NSamples = len(raw) / perSample
 	}
-	fb := &Filterbank{Header: hdr, Data: make([]float32, hdr.NSamples*hdr.NChans)}
-	switch hdr.NBits {
+}
+
+// readValues decodes nbits-wide samples from br into dst until dst is full
+// or the reader fails, peeking each chunk in br's own buffer and decoding it
+// in place. It returns the values decoded, the byte count of a trailing
+// partial value the stream ended inside, and the reader's error (io.EOF
+// when the stream ended before dst filled; nil only when dst is full).
+func readValues(br *bufio.Reader, nbits int, dst []float32) (n, ragged int, err error) {
+	bytesPer := nbits / 8
+	for n < len(dst) {
+		chunk, err := br.Peek(min((len(dst)-n)*bytesPer, readChunk))
+		k := len(chunk) / bytesPer
+		decodeValues(dst[n:n+k], chunk, nbits)
+		n += k
+		if err != nil {
+			return n, len(chunk) - k*bytesPer, err
+		}
+		_, _ = br.Discard(k * bytesPer) // what Peek just returned: cannot fail
+	}
+	return n, 0, nil
+}
+
+// decodeValues decodes len(dst) little-endian nbits-wide samples from raw.
+func decodeValues(dst []float32, raw []byte, nbits int) {
+	switch nbits {
 	case 8:
-		for i, b := range raw {
-			fb.Data[i] = float32(b)
+		for i, b := range raw[:len(dst)] {
+			dst[i] = float32(b)
 		}
 	case 32:
-		for i := range fb.Data {
-			fb.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 	}
-	return fb, nil
 }
 
 // writePrefixed writes one length-prefixed SIGPROC string.

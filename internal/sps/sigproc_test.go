@@ -3,7 +3,11 @@ package sps
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -206,5 +210,140 @@ func TestHeaderGeometry(t *testing.T) {
 	up.Fch1MHz, up.FoffMHz = 1400, 2 // ascending band: 1400…1406
 	if got := up.FTopMHz(); got != 1406 {
 		t.Fatalf("ascending FTopMHz = %g", got)
+	}
+}
+
+// bigFilterbank builds a filterbank of the given geometry filled with a
+// deterministic pattern either bit depth carries exactly: byte values for
+// 8-bit, arbitrary finite bit patterns (both signs, every magnitude) for
+// 32-bit.
+func bigFilterbank(nbits, nsamples, nchans int) *Filterbank {
+	hdr := testHeader()
+	hdr.NBits, hdr.NSamples, hdr.NChans = nbits, nsamples, nchans
+	fb := &Filterbank{Header: hdr, Data: make([]float32, nsamples*nchans)}
+	for i := range fb.Data {
+		if nbits == 8 {
+			fb.Data[i] = float32((i * 31) % 256)
+		} else {
+			// Clearing the exponent's top bit keeps every pattern finite.
+			fb.Data[i] = math.Float32frombits(uint32(i) * 2654435761 &^ (1 << 30))
+		}
+	}
+	return fb
+}
+
+func mustWrite(t *testing.T, fb *Filterbank) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, fb); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRoundTripAcrossChunks: Write→Read is bit-identical at both bit
+// depths when the data block is many read chunks long and ends partway
+// through one.
+func TestReadRoundTripAcrossChunks(t *testing.T) {
+	for _, nbits := range []int{8, 32} {
+		fb := bigFilterbank(nbits, 3*readChunk+1234, 3)
+		got, err := Read(bytes.NewReader(mustWrite(t, fb)))
+		if err != nil {
+			t.Fatalf("nbits %d: %v", nbits, err)
+		}
+		if got.Header != fb.Header || len(got.Data) != len(fb.Data) {
+			t.Fatalf("nbits %d: header %+v with %d values, want %+v with %d", nbits, got.Header, len(got.Data), fb.Header, len(fb.Data))
+		}
+		for i := range fb.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(fb.Data[i]) {
+				t.Fatalf("nbits %d: data[%d] = %v, want %v", nbits, i, got.Data[i], fb.Data[i])
+			}
+		}
+	}
+}
+
+// TestReadTruncatedData: a data block cut anywhere — inside a value, inside
+// a sample row, inside a later read chunk, exactly on a chunk boundary, or
+// right after the header — is an error naming the full byte count, never a
+// partial Filterbank.
+func TestReadTruncatedData(t *testing.T) {
+	fb := bigFilterbank(32, readChunk, 3)
+	raw := mustWrite(t, fb)
+	dataBytes := 4 * len(fb.Data)
+	hdrLen := len(raw) - dataBytes
+	want := fmt.Sprintf("reading %d data bytes", dataBytes)
+	for name, keep := range map[string]int{
+		"mid-value":      dataBytes - 2,
+		"mid-sample":     dataBytes - 4,
+		"mid-chunk":      2*readChunk + 4000,
+		"chunk boundary": 2 * readChunk,
+		"no data":        0,
+	} {
+		got, err := Read(bytes.NewReader(raw[:hdrLen+keep]))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %q", name, err, want)
+		}
+		cause := io.ErrUnexpectedEOF
+		if keep == 0 {
+			cause = io.EOF
+		}
+		if !errors.Is(err, cause) {
+			t.Errorf("%s: err = %v, want cause %v", name, err, cause)
+		}
+		if got != nil {
+			t.Errorf("%s: Read returned a partial filterbank of %d values", name, len(got.Data))
+		}
+	}
+}
+
+// TestReadToEOFAcrossChunks covers the nsamples-absent path: the sample
+// count derives from a block many chunks long, and a block that ends inside
+// a sample row or inside a value is rejected with the byte count.
+func TestReadToEOFAcrossChunks(t *testing.T) {
+	for _, nbits := range []int{8, 32} {
+		fb := bigFilterbank(nbits, 2*readChunk+77, 3)
+		raw := mustWrite(t, fb)
+		dataBytes := len(fb.Data) * nbits / 8
+		open := fb.Header
+		open.NSamples = 0
+		body := append(mustHeaderBytes(t, open), raw[len(raw)-dataBytes:]...)
+		got, err := Read(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("nbits %d: %v", nbits, err)
+		}
+		if got.NSamples != fb.NSamples || len(got.Data) != len(fb.Data) {
+			t.Fatalf("nbits %d: derived %d samples (%d values), want %d (%d)", nbits, got.NSamples, len(got.Data), fb.NSamples, len(fb.Data))
+		}
+		for i := range fb.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(fb.Data[i]) {
+				t.Fatalf("nbits %d: data[%d] = %v, want %v", nbits, i, got.Data[i], fb.Data[i])
+			}
+		}
+		for _, cut := range []int{1, nbits / 8} { // inside a value (32-bit) / inside a row
+			ragged := body[:len(body)-cut]
+			want := fmt.Sprintf("data block of %d bytes is not a whole number", dataBytes-cut)
+			if got, err := Read(bytes.NewReader(ragged)); err == nil || got != nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("nbits %d cut %d: got %v, err %v; want an error naming %q", nbits, cut, got != nil, err, want)
+			}
+		}
+	}
+}
+
+// TestReadAllocatesOneBlock pins the copy-free decode: reading a data block
+// allocates the float32 block and a read buffer, not an encoded twin of the
+// file beside it (which made it 2× for 32-bit data).
+func TestReadAllocatesOneBlock(t *testing.T) {
+	fb := bigFilterbank(32, 1<<18, 4) // 4 MiB of float32
+	raw := mustWrite(t, fb)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Read(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := uint64(4 * len(got.Data))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= block*11/10 {
+		t.Fatalf("Read allocated %d bytes for a %d-byte float32 block (%.2f×), want < 1.1×", alloc, block, float64(alloc)/float64(block))
 	}
 }

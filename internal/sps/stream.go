@@ -38,11 +38,12 @@ import (
 const DefaultNormWindow = 2048
 
 // streamChunk is the length of the sub-chunks a gulp's dedispersed series
-// is walked in. The prefix sums and the boxcar ladder of one sub-chunk (plus
-// the carried tails) live in worker-owned scratch (kernelScratch), so the
-// kernels' working set stays L2-resident whatever the gulp size — BoxDIT's
-// tile-sized partial sums owned by the compute unit, not by the series.
-const streamChunk = 4096
+// is walked in: the tile every batch kernel walks too. The prefix sums and
+// the boxcar ladder of one sub-chunk (plus the carried tails) live in
+// worker-owned scratch (kernelScratch), so the kernels' working set stays
+// L2-resident whatever the gulp size — BoxDIT's tile-sized partial sums
+// owned by the compute unit, not by the series.
+const streamChunk = tileSamples
 
 // normStream is Normalize as an incremental state machine. Per trial it
 // carries only the last min(n, window) raw samples and the absolute prefix
@@ -71,18 +72,6 @@ func (ns *normStream) emitted() int {
 	return ns.n - ns.window + ns.half + 1
 }
 
-// windowMoments returns the mean and standard deviation of the window
-// [lo, hi) from prefix sums, exactly as Normalize computes them.
-func windowMoments(sum, sq []float64, lo, hi int) (mean, sd float64) {
-	w := float64(hi - lo)
-	mean = (sum[hi] - sum[lo]) / w
-	variance := (sq[hi]-sq[lo])/w - mean*mean
-	if variance < 1e-12 {
-		variance = 1e-12
-	}
-	return mean, math.Sqrt(variance)
-}
-
 // feed takes the next series segment and appends every newly decidable
 // normalised sample to out.
 func (ns *normStream) feed(seg []float64, ks *kernelScratch, out []float64) []float64 {
@@ -104,16 +93,13 @@ func (ns *normStream) feed(seg []float64, ks *kernelScratch, out []float64) []fl
 		next = ns.half
 	}
 	if m := end - next; m > 0 {
-		// Sliding windows: sample next+k spans prefix indices [lo+k, hi+k).
+		// Sliding windows: sample next+k spans prefix indices
+		// [lo+k, lo+k+window).
 		lo := next - ns.half - base
-		hi := lo + ns.window
 		out = slices.Grow(out, m)
 		dst := out[len(out):][:m]
 		out = out[:len(out)+m]
-		for k, v := range x[next-base:][:m] {
-			mean, sd := windowMoments(sum, sq, lo+k, hi+k)
-			dst[k] = (v - mean) / sd
-		}
+		normalizeSliding(dst, x[next-base:][:m], sum[lo:], sq[lo:], ns.window)
 	}
 	t0 := len(x) - min(ns.n, ns.window)
 	ns.sum, ns.sq = sum[t0], sq[t0]
@@ -172,17 +158,23 @@ type boxStream struct {
 	out     []Detection
 }
 
-func newBoxStream(widths []int, threshold float64) *boxStream {
-	bs := &boxStream{widths: widths, scans: make([]rawScan, len(widths))}
-	for i, w := range widths {
-		bs.scans[i] = rawScan{
+// newScans returns the scan states of a fresh series, one per requested
+// width, reusing buf.
+func newScans(buf []rawScan, widths []int, threshold float64) []rawScan {
+	buf = buf[:0]
+	for _, w := range widths {
+		buf = append(buf, rawScan{
 			w:         w,
 			rawThresh: threshold * math.Sqrt(float64(w)),
 			norm:      1 / math.Sqrt(float64(w)),
 			prev:      math.Inf(-1), // position 0 has no predecessor to lose to
-		}
+		})
 	}
-	return bs
+	return buf
+}
+
+func newBoxStream(widths []int, threshold float64) *boxStream {
+	return &boxStream{widths: widths, scans: newScans(nil, widths, threshold)}
 }
 
 // feed takes z = [carried tail | new normalised samples], advances every
@@ -665,14 +657,9 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 			}
 		}
 		if cm != nil {
-			// Staged tile by tile over the pool: tiles write disjoint rows.
-			ts := time.Now()
-			cm.reset(blk.Rows, nchan)
-			err = rdd.RunParallel(ctx, cfg.Exec, (blk.Rows+stageRows-1)/stageRows, func(k int) {
-				cm.stageTile(data, k*stageRows)
-			})
-			sc.add(StageDedisperse, time.Since(ts))
-			if err != nil {
+			// The gulp's rows are already filtered (zd carries them between
+			// gulps), so the staging does not fuse the filter here.
+			if err := cm.stage(ctx, cfg.Exec, data, blk.Rows, nchan, false, sc); err != nil {
 				return stats, err
 			}
 		}

@@ -385,6 +385,33 @@ func (p *SubbandPlan) stage1Block(data []float32, cm *chanMajor, blkRows int, sh
 	return dst
 }
 
+// sumSubbands is stage 2's summation, shared by combine and combineBlock:
+// out[t] = Σ_s series[s][off + subShifts[s] + t] over the whole of out, in
+// ascending subband order per sample. out is walked in tileSamples tiles,
+// each zeroed and then passed by four subband series per pass, so the tile
+// is loaded and stored once per four subbands and stays L1-resident
+// however long the series is.
+func sumSubbands(series [][]float32, subShifts []int, off int, out []float64) {
+	for t0 := 0; t0 < len(out); t0 += tileSamples {
+		dst := out[t0:min(t0+tileSamples, len(out))]
+		clear(dst)
+		at, n := off+t0, len(dst)
+		s := 0
+		for ; s+4 <= len(series); s += 4 {
+			a, b := series[s][at+subShifts[s]:][:n], series[s+1][at+subShifts[s+1]:][:n]
+			c, d := series[s+2][at+subShifts[s+2]:][:n], series[s+3][at+subShifts[s+3]:][:n]
+			for t := range dst {
+				dst[t] = (((dst[t] + float64(a[t])) + float64(b[t])) + float64(c[t])) + float64(d[t])
+			}
+		}
+		for ; s < len(series); s++ {
+			for t, v := range series[s][at+subShifts[s]:][:n] {
+				dst[t] += float64(v)
+			}
+		}
+	}
+}
+
 // combineBlock assembles one fine trial's output samples [outLo, outHi)
 // from one gulp's stage-1 series (whose row 0 is absolute sample
 // blkStart), using the trial's precomputed stage-2 shift table and
@@ -395,15 +422,7 @@ func (p *SubbandPlan) combineBlock(series [][]float32, subShifts []int, blkStart
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	for t := range out {
-		out[t] = 0
-	}
-	for s := 0; s < p.NSub; s++ {
-		src := series[s][outLo+subShifts[s]-blkStart:]
-		for t := 0; t < n; t++ {
-			out[t] += float64(src[t])
-		}
-	}
+	sumSubbands(series, subShifts, outLo-blkStart, out)
 	return out
 }
 
@@ -473,14 +492,6 @@ func (p *SubbandPlan) combine(series [][]float32, i int, out []float64, subShift
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	for t := range out {
-		out[t] = 0
-	}
-	for s := 0; s < p.NSub; s++ {
-		src := series[s][subShifts[s] : subShifts[s]+n]
-		for t, v := range src {
-			out[t] += float64(v)
-		}
-	}
+	sumSubbands(series, subShifts, 0, out)
 	return out, true
 }

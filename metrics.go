@@ -67,19 +67,34 @@ func (e *Engine) MetricsRegistry() *MetricsRegistry { return e.metrics }
 // time and only their *shares* of the measured wall are comparable.
 var detectStageKernels = []string{sps.StageDedisperse, sps.StageNormalise, sps.StageBoxcar}
 
+// detectStageKernelsZeroDM adds zerodm to the apportioned set, for the
+// drivers where it is concurrent busy time as well: the batch search fuses
+// the filter into its parallel staging tiles, and from the coordinator's
+// clock every shard-side stage of a fleet job is concurrent. Only the
+// streaming driver filters each gulp as a sequential wall.
+var detectStageKernelsZeroDM = append([]string{sps.StageZeroDM}, detectStageKernels...)
+
 // applyDetectStages folds the frontend's per-stage seconds into the job
 // trace and rescales the kernel stages onto whatever part of totalSecs
 // the sequential stages (driver spans already in the trace, plus the
 // frontend's sequential walls) do not cover. After the fold the trace's
 // stage walls sum to totalSecs exactly — the Result.Stages contract the
-// e2e tests pin against DetectSeconds.
-func applyDetectStages(tr *obs.Trace, stageSeconds map[string]float64, totalSecs float64, kernels []string) {
+// e2e tests pin against DetectSeconds. The three search kernels also get
+// their volumes from the search's own counters: one call per dedispersed
+// trial, records in dedispersed-series samples (boxcar's output is the
+// events it emitted), bytes the float64 series each kernel streamed.
+func applyDetectStages(tr *obs.Trace, stats sps.Stats, totalSecs float64, kernels []string) {
 	if tr == nil {
 		return
 	}
-	for name, secs := range stageSeconds {
+	for name, secs := range stats.StageSeconds {
 		tr.AddSeconds(name, secs)
 	}
+	series := obs.StageStats{Calls: int64(stats.Trials), RecordsIn: stats.Samples, RecordsOut: stats.Samples, Bytes: 8 * stats.Samples}
+	tr.Add(sps.StageDedisperse, series)
+	tr.Add(sps.StageNormalise, series)
+	series.RecordsOut = int64(stats.Events)
+	tr.Add(sps.StageBoxcar, series)
 	isKernel := make(map[string]bool, len(kernels))
 	for _, k := range kernels {
 		isKernel[k] = true

@@ -248,3 +248,41 @@ func TestDetectStagesPartitionFleet(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectStagesKernelRows checks that on every detect path the three
+// search-kernel rows carry volumes, not just seconds: one call per trial,
+// dedispersed samples in and out, and — for boxcar — the job's detections
+// out (ROADMAP aim 4: the -stats table reported zeros there).
+func TestDetectStagesKernelRows(t *testing.T) {
+	for name, tc := range map[string]struct {
+		opts []drapid.Option
+		job  drapid.DetectJob
+	}{
+		"batch":     {},
+		"streaming": {job: drapid.DetectJob{BlockSamples: 4096}},
+		"fleet": {
+			opts: []drapid.Option{drapid.WithWorkers(4), drapid.WithFleetWorkers(2)},
+			job:  drapid.DetectJob{Shards: 4},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			engine, err := drapid.New(append(tc.opts, drapid.WithMetrics(drapid.NewMetricsRegistry()))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer engine.Close()
+			spec := detectSynthSpec()
+			tc.job.Synth, tc.job.Threshold = &spec, 6.5
+			_, res := runDetectJob(t, engine, tc.job)
+			for _, stage := range []string{"dedisperse", "normalise", "boxcar"} {
+				st := res.Stages[stage]
+				if st.Calls == 0 || st.RecordsIn == 0 || st.RecordsOut == 0 || st.Bytes == 0 {
+					t.Errorf("stage %q = %+v, want non-zero calls, records and bytes", stage, st)
+				}
+			}
+			if out := res.Stages["boxcar"].RecordsOut; out != int64(res.Detections) {
+				t.Errorf("boxcar RecordsOut = %d, want the job's %d detections", out, res.Detections)
+			}
+		})
+	}
+}
