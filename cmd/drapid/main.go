@@ -184,13 +184,15 @@ func main() {
 		log.Fatal(err)
 	}
 	if *detectPath != "" {
-		log.Printf("detect: %d raw events above %.1f sigma in %.3fs, dedispersion plan %s",
-			res.Detections, *threshold, res.DetectSeconds, res.Plan)
+		// Detect jobs identify in memory: no simulated cluster to report.
+		log.Printf("detect: %d raw events above %.1f sigma in %.3fs, dedispersion plan %s, single pulses=%d dropped=%d",
+			res.Detections, *threshold, res.DetectSeconds, res.Plan, res.Records, res.RecordsDropped)
 		printTop(res)
+	} else {
+		log.Printf("executors=%d single pulses=%d simulated elapsed=%.3fs wall=%.3fs", *executors, res.Records, res.SimSeconds, res.WallSeconds)
+		log.Printf("stages=%d tasks=%d shuffle=%.1fMB spill=%.1fMB dropped=%d",
+			res.RDDStages, res.Tasks, float64(res.ShuffleBytes)/1e6, float64(res.SpillBytes)/1e6, res.RecordsDropped)
 	}
-	log.Printf("executors=%d single pulses=%d simulated elapsed=%.3fs wall=%.3fs", *executors, res.Records, res.SimSeconds, res.WallSeconds)
-	log.Printf("stages=%d tasks=%d shuffle=%.1fMB spill=%.1fMB dropped=%d",
-		res.RDDStages, res.Tasks, float64(res.ShuffleBytes)/1e6, float64(res.SpillBytes)/1e6, res.RecordsDropped)
 	if *stats {
 		printStages(res.Stages)
 	}

@@ -148,10 +148,13 @@ func main() {
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting jobs, let
 	// in-flight jobs and their NDJSON streams drain within the -drain
 	// bound, then close the listener (Shutdown waits for active handlers,
-	// which is what drains the streams).
+	// which is what drains the streams). ListenAndServe returns as soon as
+	// Shutdown starts, so the process waits for it before exiting.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		logger.Info("shutdown: draining in-flight jobs", "bound", drainWait.String())
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
@@ -171,6 +174,7 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("server failed", "err", err)
 	}
+	<-drained
 }
 
 // newLogger builds the process logger: JSON lines, or key=value text
@@ -252,7 +256,9 @@ func runWorker(addr, debugAddr string, workers, blobCacheMiB int, drainWait time
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainWait)
 		defer cancel()
@@ -262,6 +268,7 @@ func runWorker(addr, debugAddr string, workers, blobCacheMiB int, drainWait time
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
+	<-drained
 	return nil
 }
 

@@ -202,21 +202,20 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // arrives base64-encoded (JSON []byte), or a synth spec generates one
 // server-side; the remaining knobs mirror drapid.DetectJob.
 type detectRequest struct {
-	Filterbank        []byte            `json:"filterbank,omitempty"`
-	Synth             *drapid.SynthSpec `json:"synth,omitempty"`
-	Key               string            `json:"key,omitempty"`
-	DMMin             float64           `json:"dm_min,omitempty"`
-	DMMax             float64           `json:"dm_max,omitempty"`
-	DMStep            float64           `json:"dm_step,omitempty"`
-	Widths            []int             `json:"widths,omitempty"`
-	Threshold         float64           `json:"threshold,omitempty"`
-	NormWindow        int               `json:"norm_window,omitempty"`
-	NoZeroDM          bool              `json:"no_zerodm,omitempty"`
-	Plan              string            `json:"plan,omitempty"`
-	Shards            int               `json:"shards,omitempty"`
-	ShardBy           string            `json:"shard_by,omitempty"`
-	PartitionsPerCore int               `json:"partitions_per_core,omitempty"`
-	Sift              drapid.Sift       `json:"sift,omitempty"`
+	Filterbank []byte            `json:"filterbank,omitempty"`
+	Synth      *drapid.SynthSpec `json:"synth,omitempty"`
+	Key        string            `json:"key,omitempty"`
+	DMMin      float64           `json:"dm_min,omitempty"`
+	DMMax      float64           `json:"dm_max,omitempty"`
+	DMStep     float64           `json:"dm_step,omitempty"`
+	Widths     []int             `json:"widths,omitempty"`
+	Threshold  float64           `json:"threshold,omitempty"`
+	NormWindow int               `json:"norm_window,omitempty"`
+	NoZeroDM   bool              `json:"no_zerodm,omitempty"`
+	Plan       string            `json:"plan,omitempty"`
+	Shards     int               `json:"shards,omitempty"`
+	ShardBy    string            `json:"shard_by,omitempty"`
+	Sift       drapid.Sift       `json:"sift,omitempty"`
 }
 
 func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
@@ -228,21 +227,20 @@ func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// Like identification jobs, detect jobs outlive the request; clients
 	// stop them via the cancel endpoint.
 	job, err := s.engine.SubmitDetect(context.Background(), drapid.DetectJob{
-		Filterbank:        req.Filterbank,
-		Synth:             req.Synth,
-		Key:               req.Key,
-		DMMin:             req.DMMin,
-		DMMax:             req.DMMax,
-		DMStep:            req.DMStep,
-		Widths:            req.Widths,
-		Threshold:         req.Threshold,
-		NormWindow:        req.NormWindow,
-		NoZeroDM:          req.NoZeroDM,
-		Plan:              req.Plan,
-		Shards:            req.Shards,
-		ShardBy:           req.ShardBy,
-		PartitionsPerCore: req.PartitionsPerCore,
-		Sift:              req.Sift,
+		Filterbank: req.Filterbank,
+		Synth:      req.Synth,
+		Key:        req.Key,
+		DMMin:      req.DMMin,
+		DMMax:      req.DMMax,
+		DMStep:     req.DMStep,
+		Widths:     req.Widths,
+		Threshold:  req.Threshold,
+		NormWindow: req.NormWindow,
+		NoZeroDM:   req.NoZeroDM,
+		Plan:       req.Plan,
+		Shards:     req.Shards,
+		ShardBy:    req.ShardBy,
+		Sift:       req.Sift,
 	})
 	if err != nil {
 		errorJSON(w, submitStatus(err), "%v", err)

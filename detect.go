@@ -87,9 +87,10 @@ func GenerateFilterbank(spec SynthSpec) ([]byte, error) {
 // observation), classified-ready candidates out. The frontend
 // (internal/sps) dedisperses the data over the trial-DM grid on the
 // engine's shared worker pool, matched-filters every trial, clusters the
-// detections with the stage-2 DBSCAN, and feeds the resulting SPE and
-// cluster files through the same distributed identification pipeline an
-// IdentifyJob runs — so Results() streams the same Candidate records,
+// detections with the stage-2 DBSCAN, and identifies every cluster with the
+// per-key search an IdentifyJob's distributed pipeline runs
+// (pipeline.ProcessKeyGroup) — called in memory, without the simulated
+// HDFS and Spark layer — so Results() streams the same Candidate records,
 // ready for Classifier.Predict.
 type DetectJob struct {
 	// Filterbank is a raw SIGPROC filterbank observation (for example
@@ -142,8 +143,7 @@ type DetectJob struct {
 	// whole-file batch path (unless FilterbankStream is set, which
 	// defaults it to DefaultBlockSamples). In streaming mode a zero
 	// NormWindow uses the frontend's DefaultNormWindow, since global
-	// moments need the whole series; DetectSeconds then covers the whole
-	// interleaved ingest-to-candidate loop.
+	// moments need the whole series.
 	BlockSamples int
 	// Shards splits the search across the engine's worker fleet (DESIGN.md
 	// §9): the job is planned into this many shards, dispatched over the
@@ -157,8 +157,6 @@ type DetectJob struct {
 	// ShardByTime (bounded per-worker input, approximate at seams,
 	// requires an explicit NormWindow).
 	ShardBy string
-	// PartitionsPerCore overrides the engine default when positive.
-	PartitionsPerCore int
 	// ResultBuffer bounds consumer lag exactly as for IdentifyJob.
 	ResultBuffer int
 	// Sift configures the post-classification sifting stage: group ranking
@@ -307,11 +305,7 @@ func (e *Engine) submitDetect(ctx context.Context, spec DetectJob, forceID strin
 			return nil, err
 		}
 	}
-	work := e.detectWork(j, spec, grid, kind)
-	if spec.Shards > 1 {
-		work = e.detectWorkFleet(j, spec, grid)
-	}
-	go j.run(work)
+	go j.run(e.detectWork(j, spec, grid, kind))
 	return j, nil
 }
 
@@ -324,94 +318,54 @@ func detectGrid(lo, hi, step float64) (*dmgrid.Grid, error) {
 	return dmgrid.New([]dmgrid.Stage{{Lo: lo, Hi: lo + n*step, Step: step}})
 }
 
-// detectWork is the detect job's work function: frontend search, stage-2
-// clustering, upload, then the shared identification pipeline. kind is
-// the dedispersion plan validate already parsed from spec.Plan. Jobs with
-// BlockSamples (or a FilterbankStream) take the bounded-memory streaming
-// path instead, which runs the same stages segment by segment.
+// eventSource is where a detect job's events come from, plus what the one
+// driver (detectWork) needs to know about it: the observation header (for
+// the key and the features), the segmenter's flush policy, and which
+// frontend stages are concurrent busy time to apportion onto the job's wall.
+type eventSource struct {
+	hdr     sps.Header
+	single  bool
+	kernels []string
+	// run searches, feeding time-ordered event batches to emit.
+	run func(emit func([]spe.SPE) error) (sps.Stats, error)
+	// fleet summarises a sharded run once run returns.
+	fleet *FleetProgress
+}
+
+// detectWork is the detect job's one work function, whatever the source:
+// the spec's event source (detectSource) feeds the segmenter, which
+// clusters and identifies in memory segment by segment, then the final
+// sift view. DetectSeconds spans the whole work function on every path,
+// and the stage walls partition it. kind is the dedispersion plan validate
+// already parsed from spec.Plan.
 func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) func() (Result, error) {
-	if spec.BlockSamples > 0 || spec.FilterbankStream != nil {
-		return e.detectWorkStream(j, spec, grid, kind)
-	}
 	return func() (Result, error) {
 		start := time.Now()
-		ingest := j.trace.Span(sps.StageIngest)
-		var fb *sps.Filterbank
-		var err error
-		if spec.Synth != nil {
-			fb, err = sps.Generate(spec.Synth.internal())
-		} else {
-			fb, err = sps.Read(bytes.NewReader(spec.Filterbank))
-		}
+		src, err := e.detectSource(j, spec, grid, kind)
 		if err != nil {
-			ingest.End()
-			return Result{}, fmt.Errorf("drapid: reading filterbank: %w", err)
+			return Result{}, err
 		}
-		ingest.SetRecords(0, int64(fb.NSamples))
-		ingest.AddBytes(int64(len(fb.Data)) * 4)
-		ingest.End()
-		events, searchStats, err := sps.Search(j.ctx, fb, sps.Config{
-			DMs:        grid.Trials(),
-			Widths:     spec.Widths,
-			Threshold:  spec.Threshold,
-			NormWindow: spec.NormWindow,
-			ZeroDM:     !spec.NoZeroDM,
-			Plan:       sps.DedispersePlan{Kind: kind},
-			Exec:       e.exec,
-		})
+		key, err := observationKey(spec.Key, src.hdr)
+		if err != nil {
+			return Result{}, err
+		}
+		seg := &segmenter{
+			j: j, grid: grid, key: key,
+			params: detectSearchParams(grid),
+			feat:   detectFeatures(grid, src.hdr),
+			single: src.single,
+		}
+		stats, err := src.run(seg.onEvents)
 		if err != nil {
 			return Result{}, fmt.Errorf("drapid: single-pulse search: %w", err)
 		}
-		j.setDetections(len(events))
-		detectSecs := time.Since(start).Seconds()
-		// Batch DetectSeconds stops at the search, so the detect-phase
-		// stages (ingest and the apportioned zerodm and kernels) partition
-		// it here, before any downstream span can join the trace.
-		applyDetectStages(j.trace, searchStats, detectSecs, detectStageKernelsZeroDM)
-
-		key, err := observationKey(spec.Key, fb.Header)
-		if err != nil {
+		if err := seg.finish(); err != nil {
 			return Result{}, err
 		}
-		cluster := j.trace.Span("cluster")
-		obs := []spe.Observation{{Key: key, Events: events}}
-		prep := pipeline.Prepare(obs, grid, dbscan.DefaultParams())
-		cluster.SetRecords(int64(len(events)), int64(prep.NumClusters()))
-		dataFile := "jobs/" + j.id + "/spe.csv"
-		clusterFile := "jobs/" + j.id + "/clusters.csv"
-		err = prep.Upload(e.fs, dataFile, clusterFile)
-		cluster.End()
-		if err != nil {
-			return Result{}, fmt.Errorf("drapid: uploading detections: %w", err)
-		}
-		if j.sift != nil {
-			sift := j.trace.Span("sift")
-			j.addSiftGroups(siftGroups(obs, prep, 0, j.sift.params))
-			sift.End()
-		}
-		partsPerCore := e.partsPerCore
-		if spec.PartitionsPerCore > 0 {
-			partsPerCore = spec.PartitionsPerCore
-		}
-		res, err := j.pipelineWork(pipeline.JobConfig{
-			DataFile:          dataFile,
-			ClusterFile:       clusterFile,
-			OutDir:            "jobs/" + j.id + "/ml",
-			PartitionsPerCore: partsPerCore,
-			Params:            detectSearchParams(grid),
-			Feat: features.Config{
-				Grid:    grid,
-				BandMHz: fb.BandwidthMHz(),
-				FreqGHz: fb.CenterFreqGHz(),
-			},
-			Emit: j.emit,
-		})()
-		if err != nil {
-			return Result{}, err
-		}
-		res.Detections = len(events)
-		res.DetectSeconds = detectSecs
-		res.Plan = searchStats.Plan
+		res := seg.total
+		res.Detections = stats.Events
+		res.Plan = stats.Plan
+		res.Fleet = src.fleet
 		if j.sift != nil {
 			sift := j.trace.Span("sift")
 			view := j.Top(0)
@@ -419,8 +373,72 @@ func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.
 			sift.End()
 			res.TopCandidates, res.Sources = view.Top, view.Sources
 		}
+		res.DetectSeconds = time.Since(start).Seconds()
+		applyDetectStages(j.trace, stats, res.DetectSeconds, src.kernels)
 		return res, nil
 	}
+}
+
+// detectSource resolves the spec's event source. A sharded job runs on the
+// fleet (fleetSource). A FilterbankStream is searched gulp by gulp as it
+// arrives, and BlockSamples gulps an ingested observation the same way;
+// both flush at quiet gaps, and the stream driver filters each gulp as a
+// sequential zerodm wall. Otherwise the batch search emits every event once
+// into a single segment, as the fleet's DM barrier does.
+func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) (*eventSource, error) {
+	if spec.Shards > 1 {
+		return e.fleetSource(j, spec, grid)
+	}
+	cfg := sps.Config{
+		DMs:          grid.Trials(),
+		Widths:       spec.Widths,
+		Threshold:    spec.Threshold,
+		NormWindow:   spec.NormWindow,
+		ZeroDM:       !spec.NoZeroDM,
+		Plan:         sps.DedispersePlan{Kind: kind},
+		Exec:         e.exec,
+		BlockSamples: spec.BlockSamples,
+	}
+	if spec.FilterbankStream != nil {
+		if cfg.BlockSamples == 0 {
+			cfg.BlockSamples = DefaultBlockSamples
+		}
+		rd := bufio.NewReaderSize(spec.FilterbankStream, 1<<16)
+		hdr, err := sps.ReadHeader(rd)
+		if err != nil {
+			return nil, fmt.Errorf("drapid: reading filterbank header: %w", err)
+		}
+		return &eventSource{hdr: hdr, kernels: detectStageKernels, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
+			return sps.SearchBlocks(j.ctx, hdr, rd, cfg, emit)
+		}}, nil
+	}
+	ingest := j.trace.Span(sps.StageIngest)
+	var fb *sps.Filterbank
+	var err error
+	if spec.Synth != nil {
+		fb, err = sps.Generate(spec.Synth.internal())
+	} else {
+		fb, err = sps.Read(bytes.NewReader(spec.Filterbank))
+	}
+	if err != nil {
+		ingest.End()
+		return nil, fmt.Errorf("drapid: reading filterbank: %w", err)
+	}
+	ingest.SetRecords(0, int64(fb.NSamples))
+	ingest.AddBytes(int64(len(fb.Data)) * 4)
+	ingest.End()
+	if cfg.BlockSamples > 0 {
+		return &eventSource{hdr: fb.Header, kernels: detectStageKernels, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
+			return sps.SearchFilterbank(j.ctx, fb, cfg, emit)
+		}}, nil
+	}
+	return &eventSource{hdr: fb.Header, single: true, kernels: detectStageKernelsZeroDM, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
+		events, stats, err := sps.Search(j.ctx, fb, cfg)
+		if err != nil {
+			return stats, err
+		}
+		return stats, emit(events)
+	}}, nil
 }
 
 // Streaming detect segmentation (DESIGN.md §7.3). Events arrive from the
@@ -436,25 +454,22 @@ const (
 	detectStreamMaxEvents = 1 << 14
 )
 
-// segmenter accumulates streamed events, cuts them into
-// clustering-independent segments, and runs each segment through the same
-// Prepare → upload → identify pipeline the batch path uses, aggregating
-// the per-segment results.
+// segmenter accumulates the source's events, cuts them into
+// clustering-independent segments, and runs each segment through Prepare
+// and in-memory identification, aggregating the per-segment results.
 type segmenter struct {
-	e            *Engine
-	j            *Job
-	grid         *dmgrid.Grid
-	key          spe.Key
-	feat         features.Config
-	params       core.Params
-	partsPerCore int
+	j      *Job
+	grid   *dmgrid.Grid
+	key    spe.Key
+	feat   features.Config
+	params core.Params
 
 	// single defers the one and only flush to finish: the whole event set
 	// goes through a single Prepare, so cross-cluster features computed
-	// over "all clusters of the observation" (ClusterRank) come out
-	// exactly as the batch path's. The fleet's DM-sharded barrier merge
-	// uses this — it already holds every event in memory, so incremental
-	// flushing buys nothing and would re-rank per segment.
+	// over "all clusters of the observation" (ClusterRank) are
+	// observation-global. The batch search and the fleet's DM-sharded
+	// barrier merge use this — each delivers every event at once, so
+	// incremental flushing buys nothing and would re-rank per segment.
 	single bool
 
 	pending []spe.SPE
@@ -496,8 +511,7 @@ func (s *segmenter) onEvents(events []spe.SPE) error {
 }
 
 // finish flushes whatever remains; a job that saw no events at all still
-// runs one empty segment so the result carries the same pipeline
-// bookkeeping shape as an empty batch run.
+// runs one empty segment so every job reports at least one classify call.
 func (s *segmenter) finish() error {
 	if len(s.pending) > 0 || s.seg == 0 {
 		return s.flush(len(s.pending))
@@ -505,167 +519,44 @@ func (s *segmenter) finish() error {
 	return nil
 }
 
-// flush clusters and identifies pending[:n] as one segment. Per-run
-// accounting (records, wall and simulated seconds, drops) accumulates;
-// scheduler counters are cumulative context snapshots, so the latest
-// segment's values stand for the job.
+// flush clusters and identifies pending[:n] as one segment, in memory:
+// pipeline.Identify runs the per-key search over the lines Prepare formats,
+// so the features see the same wire rounding an IdentifyJob's do. Records
+// and drops accumulate across segments.
 func (s *segmenter) flush(n int) error {
 	if n == 0 && s.seg > 0 {
 		return nil
 	}
+	if err := s.j.ctx.Err(); err != nil {
+		return context.Cause(s.j.ctx)
+	}
 	s.seg++
-	dir := fmt.Sprintf("jobs/%s/seg-%d", s.j.id, s.seg)
 	cluster := s.j.trace.Span("cluster")
 	obs := []spe.Observation{{Key: s.key, Events: s.pending[:n]}}
 	prep := pipeline.Prepare(obs, s.grid, dbscan.DefaultParams())
 	cluster.SetRecords(int64(n), int64(prep.NumClusters()))
+	cluster.End()
 	base := s.clusters
 	s.clusters += prep.NumClusters()
-	dataFile := dir + "/spe.csv"
-	clusterFile := dir + "/clusters.csv"
-	err := prep.Upload(s.e.fs, dataFile, clusterFile)
-	cluster.End()
-	if err != nil {
-		return fmt.Errorf("drapid: uploading segment %d: %w", s.seg, err)
-	}
 	if s.j.sift != nil {
 		sift := s.j.trace.Span("sift")
 		s.j.addSiftGroups(siftGroups(obs, prep, base, s.j.sift.params))
 		sift.End()
 	}
-	// Streamed candidates carry batch-identical cluster ids: shift the
-	// segment-local ids the pipeline assigned by the earlier segments'
-	// cluster count before they reach the job's candidate log.
-	emit := s.j.emit
-	if base > 0 {
-		emit = func(recs []pipeline.MLRecord) {
-			shifted := make([]pipeline.MLRecord, len(recs))
-			for i, r := range recs {
-				r.ClusterID += base
-				shifted[i] = r
-			}
-			s.j.emit(shifted)
-		}
+	classify := s.j.trace.Span("classify")
+	recs, dropped := pipeline.Identify(prep, s.params, s.feat)
+	// Candidates carry batch-identical cluster ids: shift the segment-local
+	// ids by the earlier segments' cluster count.
+	for i := range recs {
+		recs[i].ClusterID += base
 	}
-	res, err := s.j.pipelineWork(pipeline.JobConfig{
-		DataFile:          dataFile,
-		ClusterFile:       clusterFile,
-		OutDir:            fmt.Sprintf("jobs/%s/ml/seg-%d", s.j.id, s.seg),
-		PartitionsPerCore: s.partsPerCore,
-		Params:            s.params,
-		Feat:              s.feat,
-		Emit:              emit,
-	})()
-	if err != nil {
-		return err
-	}
+	s.j.emit(recs)
+	classify.SetRecords(0, int64(len(recs)))
+	classify.End()
 	s.pending = append(s.pending[:0], s.pending[n:]...)
-	s.total.Records += res.Records
-	s.total.RecordsDropped += res.RecordsDropped
-	s.total.SimSeconds += res.SimSeconds
-	s.total.WallSeconds += res.WallSeconds
-	s.total.RDDStages, s.total.Tasks = res.RDDStages, res.Tasks
-	s.total.ShuffleBytes, s.total.SpillBytes = res.ShuffleBytes, res.SpillBytes
+	s.total.Records += len(recs)
+	s.total.RecordsDropped += dropped
 	return nil
-}
-
-// detectWorkStream is the streaming work function: the block search emits
-// time-ordered event batches as gulps complete, the segmenter clusters and
-// identifies them at quiet gaps, and candidates stream out while the tail
-// of the observation is still being read.
-func (e *Engine) detectWorkStream(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) func() (Result, error) {
-	return func() (Result, error) {
-		start := time.Now()
-		block := spec.BlockSamples
-		if block == 0 {
-			block = DefaultBlockSamples
-		}
-		cfg := sps.Config{
-			DMs:          grid.Trials(),
-			Widths:       spec.Widths,
-			Threshold:    spec.Threshold,
-			NormWindow:   spec.NormWindow,
-			ZeroDM:       !spec.NoZeroDM,
-			Plan:         sps.DedispersePlan{Kind: kind},
-			Exec:         e.exec,
-			BlockSamples: block,
-		}
-		var hdr sps.Header
-		var run func(emit func([]spe.SPE) error) (sps.Stats, error)
-		if spec.FilterbankStream != nil {
-			rd := bufio.NewReaderSize(spec.FilterbankStream, 1<<16)
-			h, err := sps.ReadHeader(rd)
-			if err != nil {
-				return Result{}, fmt.Errorf("drapid: reading filterbank header: %w", err)
-			}
-			hdr = h
-			run = func(emit func([]spe.SPE) error) (sps.Stats, error) {
-				return sps.SearchBlocks(j.ctx, hdr, rd, cfg, emit)
-			}
-		} else {
-			ingest := j.trace.Span(sps.StageIngest)
-			var fb *sps.Filterbank
-			var err error
-			if spec.Synth != nil {
-				fb, err = sps.Generate(spec.Synth.internal())
-			} else {
-				fb, err = sps.Read(bytes.NewReader(spec.Filterbank))
-			}
-			if err != nil {
-				ingest.End()
-				return Result{}, fmt.Errorf("drapid: reading filterbank: %w", err)
-			}
-			ingest.SetRecords(0, int64(fb.NSamples))
-			ingest.AddBytes(int64(len(fb.Data)) * 4)
-			ingest.End()
-			hdr = fb.Header
-			run = func(emit func([]spe.SPE) error) (sps.Stats, error) {
-				return sps.SearchFilterbank(j.ctx, fb, cfg, emit)
-			}
-		}
-		key, err := observationKey(spec.Key, hdr)
-		if err != nil {
-			return Result{}, err
-		}
-		partsPerCore := e.partsPerCore
-		if spec.PartitionsPerCore > 0 {
-			partsPerCore = spec.PartitionsPerCore
-		}
-		seg := &segmenter{
-			e: e, j: j, grid: grid, key: key,
-			params:       detectSearchParams(grid),
-			partsPerCore: partsPerCore,
-			feat: features.Config{
-				Grid:    grid,
-				BandMHz: hdr.BandwidthMHz(),
-				FreqGHz: hdr.CenterFreqGHz(),
-			},
-		}
-		stats, err := run(seg.onEvents)
-		if err != nil {
-			return Result{}, fmt.Errorf("drapid: single-pulse search: %w", err)
-		}
-		if err := seg.finish(); err != nil {
-			return Result{}, err
-		}
-		res := seg.total
-		res.Detections = stats.Events
-		res.Plan = stats.Plan
-		res.OutDir = "jobs/" + j.id + "/ml"
-		if j.sift != nil {
-			sift := j.trace.Span("sift")
-			view := j.Top(0)
-			sift.SetRecords(0, int64(len(view.Top)))
-			sift.End()
-			res.TopCandidates, res.Sources = view.Top, view.Sources
-		}
-		// Streaming DetectSeconds covers the whole interleaved loop, so it
-		// is measured after the final sift view and the fold below makes
-		// ALL stage walls partition it (the e2e contract in Result.Stages).
-		res.DetectSeconds = time.Since(start).Seconds()
-		applyDetectStages(j.trace, stats, res.DetectSeconds, detectStageKernels)
-		return res, nil
-	}
 }
 
 // detectSearchParams adapts Algorithm 1's slope threshold to the detect
@@ -684,6 +575,15 @@ func detectSearchParams(grid *dmgrid.Grid) core.Params {
 		p.SlopeM = core.DefaultSlopeM * 0.25 / step
 	}
 	return p
+}
+
+// detectFeatures builds the feature-extraction config from a header.
+func detectFeatures(grid *dmgrid.Grid, hdr sps.Header) features.Config {
+	return features.Config{
+		Grid:    grid,
+		BandMHz: hdr.BandwidthMHz(),
+		FreqGHz: hdr.CenterFreqGHz(),
+	}
 }
 
 // observationKey resolves the job's observation key: the caller's, or one

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -341,6 +342,104 @@ func TestDetectJobStreamCancelMidIngest(t *testing.T) {
 		}
 	case <-ctx.Done():
 		t.Fatal("candidate stream hung after cancellation")
+	}
+}
+
+// TestDetectJobsBypassSimulation pins where a detect job's identification
+// runs: every source — batch, block stream, DM shards on a fleet —
+// identifies its segments in memory, so the job executes no scheduler task,
+// leaves nothing in the engine filesystem, and times one classify call per
+// flushed segment.
+func TestDetectJobsBypassSimulation(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		opts     []drapid.Option
+		job      drapid.DetectJob
+		segments func(n int64) bool
+	}{
+		{name: "batch", segments: func(n int64) bool { return n == 1 }},
+		{name: "block", job: drapid.DetectJob{BlockSamples: 4096}, segments: func(n int64) bool { return n > 1 }},
+		{
+			name:     "fleet",
+			opts:     []drapid.Option{drapid.WithFleetWorkers(2)},
+			job:      drapid.DetectJob{Shards: 4},
+			segments: func(n int64) bool { return n == 1 },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := drapid.NewMetricsRegistry()
+			engine, err := drapid.New(append(tc.opts, drapid.WithMetrics(reg))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer engine.Close()
+			spec := detectSynthSpec()
+			tc.job.Synth, tc.job.Threshold = &spec, 6.5
+			job, res := runDetectJob(t, engine, tc.job)
+			if res.Records == 0 {
+				t.Fatal("no candidates: nothing was identified")
+			}
+			if res.Tasks != 0 || res.RDDStages != 0 || res.OutDir != "" {
+				t.Errorf("Result.Tasks = %d, RDDStages = %d, OutDir = %q; want 0, 0, empty",
+					res.Tasks, res.RDDStages, res.OutDir)
+			}
+			for _, name := range engine.FS().List() {
+				if strings.HasPrefix(name, "jobs/"+job.ID()+"/") {
+					t.Errorf("detect job left %s in the engine filesystem", name)
+				}
+			}
+			classify, cluster := res.Stages["classify"].Calls, res.Stages["cluster"].Calls
+			if classify != cluster || !tc.segments(classify) {
+				t.Errorf("classify calls = %d over %d flushed segments", classify, cluster)
+			}
+			var b strings.Builder
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(strings.Split(b.String(), "\n"), "drapid_rdd_tasks_total 0") {
+				t.Error(`registry scrape lacks the line "drapid_rdd_tasks_total 0"`)
+			}
+		})
+	}
+}
+
+// TestDetectStreamCandidatesMatchBatch holds the block stream's candidates
+// to the batch path's record for record — cluster ids included, which the
+// segmenter shifts by the clusters of earlier segments — except ClusterRank,
+// the one feature ranked per segment when streamed (DESIGN.md §8.4).
+// NormWindow is pinned so both modes normalise alike.
+func TestDetectStreamCandidatesMatchBatch(t *testing.T) {
+	engine, err := drapid.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	spec := siftSynthSpec()
+	rank := featureIndex(t, "ClusterRank")
+	run := func(block int) []string {
+		job, res := runDetectJob(t, engine, drapid.DetectJob{
+			Synth: &spec, Threshold: 6.5, NormWindow: 1024, NoZeroDM: true, BlockSamples: block,
+		})
+		var out []string
+		for c, err := range job.Results() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Features[rank] = 0
+			out = append(out, c.CSV())
+		}
+		if len(out) != res.Records {
+			t.Fatalf("block %d: %d candidates, Result.Records %d", block, len(out), res.Records)
+		}
+		slices.Sort(out)
+		return out
+	}
+	batch, stream := run(0), run(2048)
+	if len(batch) == 0 {
+		t.Fatal("batch identified no candidates")
+	}
+	if !slices.Equal(stream, batch) {
+		t.Fatalf("stream candidates differ from batch:\nstream: %q\n batch: %q", stream, batch)
 	}
 }
 

@@ -17,8 +17,8 @@
 //     in the physical pipeline — raw time–frequency data (a SIGPROC
 //     filterbank, or a SynthSpec observation with injected ground truth)
 //     is dedispersed over a trial-DM grid on the same worker pool,
-//     matched-filtered, clustered and identified end to end, streaming
-//     the same Candidate records (DESIGN.md §5). A sifting layer ranks
+//     matched-filtered, clustered and identified end to end, in memory,
+//     streaming the same Candidate records (DESIGN.md §5). A sifting layer ranks
 //     the resulting cluster groups, folds repeat detections into
 //     sources, and matches a known-source catalog; Result.TopCandidates
 //     and Job.Top expose the ranked view (DESIGN.md §8).
@@ -75,8 +75,7 @@
 //     registry and a structured logger.
 //
 //   - Classification: ml and its subpackages (datasets, the six Table 5
-//     learners, ALM labeling, SMOTE, feature selection, evaluation,
-//     ARFF export).
+//     learners, ALM labeling, SMOTE, feature selection, evaluation).
 //
 //   - Evaluation: experiments (regenerates every figure and table),
 //     plot (text-mode candidate plots), benchjson (the machine-readable

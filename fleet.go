@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"drapid/internal/dmgrid"
-	"drapid/internal/features"
 	"drapid/internal/fleet"
 	"drapid/internal/rdd"
+	"drapid/internal/spe"
 	"drapid/internal/sps"
 )
 
@@ -229,23 +229,22 @@ type journalEntry struct {
 // cleanly except FilterbankStream (an io.Reader, excluded by the
 // journal-able check).
 type journalSpec struct {
-	Filterbank        []byte     `json:"filterbank,omitempty"`
-	Synth             *SynthSpec `json:"synth,omitempty"`
-	Key               string     `json:"key,omitempty"`
-	DMMin             float64    `json:"dm_min,omitempty"`
-	DMMax             float64    `json:"dm_max,omitempty"`
-	DMStep            float64    `json:"dm_step,omitempty"`
-	Widths            []int      `json:"widths,omitempty"`
-	Threshold         float64    `json:"threshold,omitempty"`
-	NormWindow        int        `json:"norm_window,omitempty"`
-	NoZeroDM          bool       `json:"no_zero_dm,omitempty"`
-	Plan              string     `json:"plan,omitempty"`
-	BlockSamples      int        `json:"block_samples,omitempty"`
-	PartitionsPerCore int        `json:"partitions_per_core,omitempty"`
-	ResultBuffer      int        `json:"result_buffer,omitempty"`
-	Shards            int        `json:"shards,omitempty"`
-	ShardBy           string     `json:"shard_by,omitempty"`
-	Sift              Sift       `json:"sift"`
+	Filterbank   []byte     `json:"filterbank,omitempty"`
+	Synth        *SynthSpec `json:"synth,omitempty"`
+	Key          string     `json:"key,omitempty"`
+	DMMin        float64    `json:"dm_min,omitempty"`
+	DMMax        float64    `json:"dm_max,omitempty"`
+	DMStep       float64    `json:"dm_step,omitempty"`
+	Widths       []int      `json:"widths,omitempty"`
+	Threshold    float64    `json:"threshold,omitempty"`
+	NormWindow   int        `json:"norm_window,omitempty"`
+	NoZeroDM     bool       `json:"no_zero_dm,omitempty"`
+	Plan         string     `json:"plan,omitempty"`
+	BlockSamples int        `json:"block_samples,omitempty"`
+	ResultBuffer int        `json:"result_buffer,omitempty"`
+	Shards       int        `json:"shards,omitempty"`
+	ShardBy      string     `json:"shard_by,omitempty"`
+	Sift         Sift       `json:"sift"`
 }
 
 // MarshalJSON persists a DetectJob through journalSpec.
@@ -255,8 +254,7 @@ func (spec DetectJob) MarshalJSON() ([]byte, error) {
 		DMMin: spec.DMMin, DMMax: spec.DMMax, DMStep: spec.DMStep,
 		Widths: spec.Widths, Threshold: spec.Threshold, NormWindow: spec.NormWindow,
 		NoZeroDM: spec.NoZeroDM, Plan: spec.Plan, BlockSamples: spec.BlockSamples,
-		PartitionsPerCore: spec.PartitionsPerCore, ResultBuffer: spec.ResultBuffer,
-		Shards: spec.Shards, ShardBy: spec.ShardBy, Sift: spec.Sift,
+		ResultBuffer: spec.ResultBuffer, Shards: spec.Shards, ShardBy: spec.ShardBy, Sift: spec.Sift,
 	})
 }
 
@@ -271,8 +269,7 @@ func (spec *DetectJob) UnmarshalJSON(data []byte) error {
 		DMMin: js.DMMin, DMMax: js.DMMax, DMStep: js.DMStep,
 		Widths: js.Widths, Threshold: js.Threshold, NormWindow: js.NormWindow,
 		NoZeroDM: js.NoZeroDM, Plan: js.Plan, BlockSamples: js.BlockSamples,
-		PartitionsPerCore: js.PartitionsPerCore, ResultBuffer: js.ResultBuffer,
-		Shards: js.Shards, ShardBy: js.ShardBy, Sift: js.Sift,
+		ResultBuffer: js.ResultBuffer, Shards: js.Shards, ShardBy: js.ShardBy, Sift: js.Sift,
 	}
 	return nil
 }
@@ -324,9 +321,6 @@ func (e *Engine) Recover(ctx context.Context) ([]*Job, error) {
 		if err := json.Unmarshal(data, &ent); err != nil {
 			return jobs, fmt.Errorf("drapid: parsing journal entry %q: %w", name, err)
 		}
-		// The crashed run may have left partial output under jobs/<id>/
-		// on a shared filesystem; the replay rewrites it from scratch.
-		e.removeJobFiles(ent.ID)
 		j, err := e.submitDetect(ctx, ent.Spec, ent.ID)
 		if err != nil {
 			return jobs, fmt.Errorf("drapid: replaying job %q: %w", ent.ID, err)
@@ -355,118 +349,67 @@ func (e *Engine) claimID(id string) error {
 	return nil
 }
 
-// detectWorkFleet is the sharded detect work function: plan shards, run
-// them across the coordinator's fleet, and feed the merged event stream
-// through the same segmenter the streaming path uses — so the final
-// candidate and sifted records are record-for-record what a single-engine
-// run produces (segment-partitioning invariance, DESIGN.md §7.3, plus the
-// fleet merge contract, §9).
-func (e *Engine) detectWorkFleet(j *Job, spec DetectJob, grid *dmgrid.Grid) func() (Result, error) {
-	return func() (Result, error) {
-		start := time.Now()
-		ingest := j.trace.Span(sps.StageIngest)
-		raw := spec.Filterbank
-		if spec.Synth != nil {
-			var err error
-			raw, err = GenerateFilterbank(*spec.Synth)
-			if err != nil {
-				ingest.End()
-				return Result{}, fmt.Errorf("drapid: generating observation: %w", err)
-			}
-		}
-		fb, err := sps.Read(bytes.NewReader(raw))
+// fleetSource is the sharded event source: plan shards and run them across
+// the coordinator's fleet, so the merged events — and the candidate and
+// sifted records the driver builds from them — are record-for-record what
+// a single-engine run produces (segment-partitioning invariance, DESIGN.md
+// §7.3, plus the fleet merge contract, §9). DM shards merge at a barrier,
+// so every event arrives at once and one segment keeps observation-global
+// features (ClusterRank) bit-identical to the unsharded run; time shards
+// stream through the quiet-gap segmenter like BlockSamples. From the
+// coordinator's clock every shard-side stage, zerodm included, is
+// concurrent busy time.
+func (e *Engine) fleetSource(j *Job, spec DetectJob, grid *dmgrid.Grid) (*eventSource, error) {
+	ingest := j.trace.Span(sps.StageIngest)
+	raw := spec.Filterbank
+	if spec.Synth != nil {
+		var err error
+		raw, err = GenerateFilterbank(*spec.Synth)
 		if err != nil {
 			ingest.End()
-			return Result{}, fmt.Errorf("drapid: reading filterbank: %w", err)
+			return nil, fmt.Errorf("drapid: generating observation: %w", err)
 		}
-		ingest.SetRecords(0, int64(fb.NSamples))
-		ingest.AddBytes(int64(len(raw)))
+	}
+	fb, err := sps.Read(bytes.NewReader(raw))
+	if err != nil {
 		ingest.End()
-		key, err := observationKey(spec.Key, fb.Header)
-		if err != nil {
-			return Result{}, err
+		return nil, fmt.Errorf("drapid: reading filterbank: %w", err)
+	}
+	ingest.SetRecords(0, int64(fb.NSamples))
+	ingest.AddBytes(int64(len(raw)))
+	ingest.End()
+	search := fleet.SearchSpec{
+		Widths:     spec.Widths,
+		Threshold:  spec.Threshold,
+		NormWindow: spec.NormWindow,
+		ZeroDM:     !spec.NoZeroDM,
+		Plan:       spec.Plan,
+	}
+	timeOrder := spec.ShardBy == ShardByTime
+	var shards []fleet.ShardSpec
+	if timeOrder {
+		if shards, err = fleet.PlanTime(j.id, fb, grid.Trials(), search, spec.Shards); err != nil {
+			return nil, err
 		}
-		search := fleet.SearchSpec{
-			Widths:     spec.Widths,
-			Threshold:  spec.Threshold,
-			NormWindow: spec.NormWindow,
-			ZeroDM:     !spec.NoZeroDM,
-			Plan:       spec.Plan,
-		}
-		var shards []fleet.ShardSpec
-		timeOrder := false
-		switch spec.ShardBy {
-		case "", ShardByDM:
-			shards = fleet.PlanDM(j.id, raw, grid.Trials(), search, spec.Shards)
-		case ShardByTime:
-			timeOrder = true
-			shards, err = fleet.PlanTime(j.id, fb, grid.Trials(), search, spec.Shards)
-			if err != nil {
-				return Result{}, err
-			}
-		}
-		j.setFleet(FleetProgress{Workers: e.coord.Workers(), Shards: len(shards)})
-
-		partsPerCore := e.partsPerCore
-		if spec.PartitionsPerCore > 0 {
-			partsPerCore = spec.PartitionsPerCore
-		}
-		seg := &segmenter{
-			e: e, j: j, grid: grid, key: key,
-			params:       detectSearchParams(grid),
-			partsPerCore: partsPerCore,
-			feat:         detectFeatures(grid, fb.Header),
-			// DM mode merges at a barrier — all events arrive at once, so
-			// one Prepare over the lot keeps observation-global features
-			// (ClusterRank) bit-identical to the unsharded run. Time mode
-			// streams through the quiet-gap segmenter like BlockSamples.
-			single: !timeOrder,
-		}
-		stats, status, err := e.coord.Run(j.ctx, shards, seg.onEvents, fleet.RunOptions{
+	} else {
+		shards = fleet.PlanDM(j.id, raw, grid.Trials(), search, spec.Shards)
+	}
+	j.setFleet(FleetProgress{Workers: e.coord.Workers(), Shards: len(shards)})
+	src := &eventSource{hdr: fb.Header, single: !timeOrder, kernels: detectStageKernelsZeroDM}
+	src.run = func(emit func([]spe.SPE) error) (sps.Stats, error) {
+		stats, status, err := e.coord.Run(j.ctx, shards, emit, fleet.RunOptions{
 			TimeOrder:  timeOrder,
 			OnProgress: func(s fleet.JobStatus) { j.updateFleet(s) },
 		})
-		if err != nil {
-			return Result{}, fmt.Errorf("drapid: fleet search: %w", err)
-		}
-		if err := seg.finish(); err != nil {
-			return Result{}, err
-		}
-		res := seg.total
-		res.Detections = stats.Events
-		res.Plan = stats.Plan
-		res.OutDir = "jobs/" + j.id + "/ml"
-		res.Fleet = &FleetProgress{
+		src.fleet = &FleetProgress{
 			Workers:     e.coord.Workers(),
 			Shards:      status.Shards,
 			Done:        status.Done,
 			Resubmitted: status.Resubmitted,
 		}
-		if j.sift != nil {
-			sift := j.trace.Span("sift")
-			view := j.Top(0)
-			sift.SetRecords(0, int64(len(view.Top)))
-			sift.End()
-			res.TopCandidates, res.Sources = view.Top, view.Sources
-		}
-		// Fleet DetectSeconds covers the whole coordinator loop. From the
-		// coordinator's clock every shard-side stage — zerodm included —
-		// is concurrent busy time, so zerodm joins the apportioned kernels
-		// and ALL stage walls partition the elapsed detect time.
-		res.DetectSeconds = time.Since(start).Seconds()
-		applyDetectStages(j.trace, stats, res.DetectSeconds, detectStageKernelsZeroDM)
-		return res, nil
+		return stats, err
 	}
-}
-
-// detectFeatures builds the feature-extraction config from a header (the
-// shared piece of the batch, streaming and fleet paths).
-func detectFeatures(grid *dmgrid.Grid, hdr sps.Header) features.Config {
-	return features.Config{
-		Grid:    grid,
-		BandMHz: hdr.BandwidthMHz(),
-		FreqGHz: hdr.CenterFreqGHz(),
-	}
+	return src, nil
 }
 
 // newFleet builds the engine's coordinator from the configured local and

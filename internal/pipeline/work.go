@@ -10,6 +10,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -120,6 +121,63 @@ func ProcessKeyGroup(key string, clusterPayloads, dataPayloads []string, p core.
 		}
 	}
 	return out, stats, nil
+}
+
+// KeyGroup is one observation key's cluster and SPE data payloads, each in
+// input line order: the unit ProcessKeyGroup searches.
+type KeyGroup struct {
+	Key      string
+	Clusters []string
+	Data     []string
+}
+
+// GroupByKey groups keyed data and cluster lines by observation key in
+// memory — the grouping the Search phase of Figure 3 runs over. Header lines
+// and lines that do not split into a key and a payload are skipped, as
+// RunDRAPID's loader skips them. Only keys with at least one cluster form a
+// group (the cluster side drives the join), and groups come back in key
+// order.
+func GroupByKey(dataLines, clusterLines []string) []KeyGroup {
+	data, clusters := payloadsByKey(dataLines), payloadsByKey(clusterLines)
+	groups := make([]KeyGroup, 0, len(clusters))
+	for k, cl := range clusters {
+		groups = append(groups, KeyGroup{Key: k, Clusters: cl, Data: data[k]})
+	}
+	slices.SortFunc(groups, func(a, b KeyGroup) int { return strings.Compare(a.Key, b.Key) })
+	return groups
+}
+
+// payloadsByKey maps each keyed line's key to its payloads.
+func payloadsByKey(lines []string) map[string][]string {
+	by := make(map[string][]string)
+	for _, line := range lines {
+		if spe.IsHeader(line) {
+			continue
+		}
+		k, payload, err := spe.SplitKeyed(line)
+		if err != nil {
+			continue
+		}
+		by[k] = append(by[k], payload)
+	}
+	return by
+}
+
+// Identify is RunDRAPID's Search phase run in memory on the calling
+// goroutine: the prepared lines grouped by key, then ProcessKeyGroup per key
+// in key order. It reads the same wire-format payloads, so the features see
+// the same rounding and the records are the ones RunDRAPID emits; a
+// malformed key group is dropped and counted exactly as RunDRAPID counts it.
+func Identify(p *Prepared, params core.Params, feat features.Config) (recs []MLRecord, dropped int64) {
+	for _, g := range GroupByKey(p.DataLines, p.ClusterLines) {
+		out, _, err := ProcessKeyGroup(g.Key, g.Clusters, g.Data, params, feat)
+		if err != nil {
+			dropped++
+			continue
+		}
+		recs = append(recs, out...)
+	}
+	return recs, dropped
 }
 
 // selectMembers returns the DM-sorted events inside the cluster's bounding

@@ -13,7 +13,6 @@ package rapidmt
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"drapid/internal/core"
@@ -93,37 +92,14 @@ func Run(dataLines, clusterLines []string, threads int, m Machine, cost rdd.Cost
 	}
 
 	// Group both inputs by observation key (the single-machine program
-	// reads everything into maps up front).
-	dataByKey := make(map[string][]string)
-	clustersByKey := make(map[string][]string)
-	var keys []string
+	// reads everything into memory up front).
+	groups := pipeline.GroupByKey(dataLines, clusterLines)
 	var dataBytes int64
-	for _, line := range dataLines {
-		dataBytes += int64(len(line)) + 1
-		if spe.IsHeader(line) {
-			continue
+	for _, lines := range [][]string{dataLines, clusterLines} {
+		for _, line := range lines {
+			dataBytes += int64(len(line)) + 1
 		}
-		k, payload, err := spe.SplitKeyed(line)
-		if err != nil {
-			continue
-		}
-		dataByKey[k] = append(dataByKey[k], payload)
 	}
-	for _, line := range clusterLines {
-		dataBytes += int64(len(line)) + 1
-		if spe.IsHeader(line) {
-			continue
-		}
-		k, payload, err := spe.SplitKeyed(line)
-		if err != nil {
-			continue
-		}
-		if _, ok := clustersByKey[k]; !ok {
-			keys = append(keys, k)
-		}
-		clustersByKey[k] = append(clustersByKey[k], payload)
-	}
-	sort.Strings(keys)
 
 	// Real execution: the same executor pool as the distributed job, one
 	// work item per observation key, threads goroutines wide. Each item
@@ -139,15 +115,15 @@ func Run(dataLines, clusterLines []string, threads int, m Machine, cost rdd.Cost
 		clusterSPEs []int
 		err         error
 	}
-	work := make([]keyWork, len(keys))
+	work := make([]keyWork, len(groups))
 	wallStart := time.Now()
 	// A parse error cancels the pool so remaining keys are not searched
 	// (fail-fast, as the serial loop did); in-flight items finish.
 	gctx, abort := context.WithCancel(context.Background())
 	defer abort()
-	_ = rdd.RunParallel(gctx, rdd.ExecConfig{Workers: threads}, len(keys), func(i int) {
-		k := keys[i]
-		recs, stats, err := pipeline.ProcessKeyGroup(k, clustersByKey[k], dataByKey[k], params, feat)
+	_ = rdd.RunParallel(gctx, rdd.ExecConfig{Workers: threads}, len(groups), func(i int) {
+		g := groups[i]
+		recs, stats, err := pipeline.ProcessKeyGroup(g.Key, g.Clusters, g.Data, params, feat)
 		if err != nil {
 			work[i].err = err
 			abort()
@@ -157,8 +133,8 @@ func Run(dataLines, clusterLines []string, threads int, m Machine, cost rdd.Cost
 		work[i].parsed = int64(stats.EventsParsed)
 		// Recover per-cluster sizes for scheduling skew: the searched SPE
 		// total distributes over this key's clusters.
-		events := make([]spe.SPE, 0, len(dataByKey[k]))
-		for _, payload := range dataByKey[k] {
+		events := make([]spe.SPE, 0, len(g.Data))
+		for _, payload := range g.Data {
 			e, err := spe.ParseDataPayload(payload)
 			if err != nil {
 				continue
@@ -166,7 +142,7 @@ func Run(dataLines, clusterLines []string, threads int, m Machine, cost rdd.Cost
 			events = append(events, e)
 		}
 		spe.SortByDM(events)
-		for _, cp := range clustersByKey[k] {
+		for _, cp := range g.Clusters {
 			cl, err := spe.ParseClusterPayload(cp)
 			if err != nil {
 				continue

@@ -115,9 +115,9 @@ type Progress struct {
 	State JobState `json:"state"`
 	// Candidates is the number of single pulses emitted so far.
 	Candidates int `json:"candidates"`
-	// Detections is the number of raw frontend threshold crossings, once a
-	// detect job's search phase has completed (zero before that and for
-	// identification jobs).
+	// Detections is the number of raw frontend threshold crossings a
+	// detect job's search has delivered so far (zero for identification
+	// jobs).
 	Detections int `json:"detections,omitempty"`
 	// RecordsDropped counts malformed key groups the search phase
 	// discarded (previously invisible; see rdd.Metrics.RecordsDropped).
@@ -152,9 +152,10 @@ type Result struct {
 	// frontend emitted before clustering (detect jobs only; zero for
 	// identification jobs, whose inputs arrive pre-detected).
 	Detections int `json:"detections,omitempty"`
-	// DetectSeconds is the wall-clock time the dedispersion + matched
-	// filtering frontend took (detect jobs only); WallSeconds covers the
-	// downstream identification pipeline.
+	// DetectSeconds is the wall-clock time of the whole detect work
+	// function — ingest, search, clustering, identification and sifting —
+	// on every detect path (detect jobs only); the Stages walls partition
+	// it.
 	DetectSeconds float64 `json:"detect_seconds,omitempty"`
 	// Plan describes the dedispersion strategy the frontend ran (detect
 	// jobs only): "brute", or a subband summary like
@@ -163,30 +164,31 @@ type Result struct {
 	Plan string `json:"plan,omitempty"`
 	// RecordsDropped counts malformed key groups discarded by the search.
 	RecordsDropped int64 `json:"records_dropped"`
-	// SimSeconds and WallSeconds are the two clocks (simulated cluster
-	// time is zero unless the engine enables WithSimClock).
+	// SimSeconds and WallSeconds are the two clocks of the distributed
+	// identification pipeline (identification jobs only; simulated cluster
+	// time is zero unless the engine enables WithSimClock). A detect job's
+	// clock is DetectSeconds.
 	SimSeconds  float64 `json:"sim_seconds"`
 	WallSeconds float64 `json:"wall_seconds"`
-	// RDDStages and Tasks count executed scheduler work.
+	// RDDStages and Tasks count executed scheduler work (identification
+	// jobs only: detect jobs identify in memory and run no scheduler).
 	RDDStages int `json:"rdd_stages"`
 	Tasks     int `json:"tasks"`
 	// Stages is the per-pipeline-stage breakdown (DESIGN.md §10):
 	// ingest, zerodm, dedisperse, normalise, boxcar, cluster, classify,
-	// sift — wall seconds plus record/byte volumes. For detect jobs the
-	// detect-phase stage walls sum to DetectSeconds (streaming and fleet
-	// jobs: all stages; batch jobs: the stages before cluster, since
-	// batch DetectSeconds stops at the search). Concurrent kernel stages
-	// report their *share* of elapsed time (busy seconds apportioned
-	// onto the measured fan-out wall), so the partition holds at any
-	// worker count.
+	// sift — wall seconds plus record/byte volumes. For detect jobs, on
+	// every path, the stage walls sum to DetectSeconds. Concurrent kernel
+	// stages report their *share* of elapsed time (busy seconds
+	// apportioned onto the measured fan-out wall), so the partition holds
+	// at any worker count.
 	Stages map[string]StageStats `json:"stages,omitempty"`
-	// ShuffleBytes and SpillBytes snapshot the engine counters.
+	// ShuffleBytes and SpillBytes snapshot the engine counters
+	// (identification jobs only).
 	ShuffleBytes int64 `json:"shuffle_bytes"`
 	SpillBytes   int64 `json:"spill_bytes"`
-	// OutDir is the engine-filesystem directory holding the job's saved
-	// ML part files. Streaming detect jobs (DetectJob.BlockSamples /
-	// FilterbankStream) write one seg-N subdirectory beneath it per
-	// identified segment rather than part files at the top level.
+	// OutDir is the engine-filesystem directory holding an identification
+	// job's saved ML part files. Detect jobs save nothing there and leave
+	// it empty; their candidates are the Results stream.
 	OutDir string `json:"out_dir"`
 	// TopCandidates is the ranked sifted view of the observation's DBSCAN
 	// groups (detect jobs only, unless DetectJob.Sift.Disable), bounded by
@@ -263,8 +265,9 @@ func (j *Job) Cancel() { j.cancel(ErrCancelled) }
 
 // run executes the job's work function and finalises the state machine.
 // It is the job's only writer goroutine. Work functions differ by job kind
-// — identification runs the batch pipeline directly, detection prepends
-// the sps search frontend — but share this lifecycle.
+// — identification runs the distributed batch pipeline, detection the sps
+// search frontend with in-memory identification — but share this
+// lifecycle.
 func (j *Job) run(work func() (Result, error)) {
 	defer j.stop()
 	start := time.Now()
@@ -276,26 +279,27 @@ func (j *Job) run(work func() (Result, error)) {
 
 	res, err := work()
 
-	j.mu.Lock()
+	state, cause := JobSucceeded, error(nil)
 	switch {
 	case err == nil:
-		j.state = JobSucceeded
 		res.Stages = j.trace.Snapshot()
-		j.result = res
 	case j.ctx.Err() != nil:
-		j.state = JobCancelled
-		j.err = context.Cause(j.ctx)
+		state, cause = JobCancelled, context.Cause(j.ctx)
 	default:
-		j.state = JobFailed
-		j.err = err
+		state, cause = JobFailed, err
 	}
-	state := j.state
+	// Publish terminal metrics before any observer can see the job
+	// terminal (Progress, Results, Wait): a /metrics scrape issued the
+	// moment one does must already see the job's finished counters and
+	// stage histograms.
+	j.finalizeObs(state, res.Records, time.Since(start))
+	j.mu.Lock()
+	j.state, j.err = state, cause
+	if state == JobSucceeded {
+		j.result = res
+	}
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	// Publish terminal metrics before releasing waiters: a /metrics
-	// scrape issued the moment Wait returns must already see the job's
-	// finished counters and stage histograms.
-	j.finalizeObs(state, time.Since(start))
 	close(j.done)
 }
 
@@ -303,7 +307,7 @@ func (j *Job) run(work func() (Result, error)) {
 // histograms and bridges the rdd engine counters into the registry —
 // the previously-invisible drop and recompute totals become scrapeable
 // here, and a job that silently discarded records gets its slog.Warn.
-func (j *Job) finalizeObs(state JobState, dur time.Duration) {
+func (j *Job) finalizeObs(state JobState, records int, dur time.Duration) {
 	m := j.rctx.Metrics()
 	reg := j.metrics
 	kind := obs.L("kind", j.kind)
@@ -324,7 +328,7 @@ func (j *Job) finalizeObs(state JobState, dur time.Duration) {
 	j.warnDrops(m.RecordsDropped)
 	j.log.Info("job finished",
 		"job", j.id, "kind", j.kind, "state", state.String(),
-		"records", j.result.Records, "seconds", dur.Seconds())
+		"records", records, "seconds", dur.Seconds())
 }
 
 // warnDrops logs the first time a job is seen to have dropped records
@@ -369,27 +373,19 @@ func (j *Job) pipelineWork(cfg pipeline.JobConfig) func() (Result, error) {
 	}
 }
 
-// setDetections records the frontend's raw event count once a detect
-// job's search phase completes, making it visible in Progress mid-run.
-func (j *Job) setDetections(n int) {
-	j.mu.Lock()
-	j.detections = n
-	j.mu.Unlock()
-}
-
-// addDetections accumulates raw frontend events as a streaming detect
-// job's blocks complete, so Progress.Detections grows while the
-// observation is still being ingested.
+// addDetections accumulates raw frontend events as a detect job's source
+// delivers them, so Progress.Detections grows while the observation is
+// still being searched.
 func (j *Job) addDetections(n int) {
 	j.mu.Lock()
 	j.detections += n
 	j.mu.Unlock()
 }
 
-// emit is the pipeline's streaming hook (JobConfig.Emit): it appends one
-// key group's records to the candidate log, honouring the backpressure
-// bound when the job was submitted with ResultBuffer > 0. Called
-// concurrently from search workers.
+// emit is the pipeline's streaming hook (JobConfig.Emit, and the detect
+// segmenter's per-segment output): it appends records to the candidate
+// log, honouring the backpressure bound when the job was submitted with
+// ResultBuffer > 0. Called concurrently from search workers.
 func (j *Job) emit(recs []pipeline.MLRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

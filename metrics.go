@@ -68,10 +68,10 @@ func (e *Engine) MetricsRegistry() *MetricsRegistry { return e.metrics }
 var detectStageKernels = []string{sps.StageDedisperse, sps.StageNormalise, sps.StageBoxcar}
 
 // detectStageKernelsZeroDM adds zerodm to the apportioned set, for the
-// drivers where it is concurrent busy time as well: the batch search fuses
-// the filter into its parallel staging tiles, and from the coordinator's
-// clock every shard-side stage of a fleet job is concurrent. Only the
-// streaming driver filters each gulp as a sequential wall.
+// event sources where it is concurrent busy time as well: the batch search
+// fuses the filter into its parallel staging tiles, and from the
+// coordinator's clock every shard-side stage of a fleet job is concurrent.
+// Only the block stream filters each gulp as a sequential wall.
 var detectStageKernelsZeroDM = append([]string{sps.StageZeroDM}, detectStageKernels...)
 
 // applyDetectStages folds the frontend's per-stage seconds into the job

@@ -82,77 +82,77 @@ func wantClose(t *testing.T, what string, sum, total float64) {
 	}
 }
 
-// TestDetectStagesPartitionBatch checks the batch path: DetectSeconds
-// stops at the search, so the detect-phase stages (ingest, zerodm, and
-// the apportioned kernels) partition it, while the downstream stages
-// are reported but excluded from the partition.
-func TestDetectStagesPartitionBatch(t *testing.T) {
-	reg := drapid.NewMetricsRegistry()
-	engine, err := drapid.New(drapid.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-
-	spec := detectSynthSpec()
-	job, res := runDetectJob(t, engine, drapid.DetectJob{Synth: &spec, Threshold: 6.5})
-
-	sum := stageSum(t, res.Stages, "ingest", "zerodm", "dedisperse", "normalise", "boxcar")
-	wantClose(t, "batch", sum, res.DetectSeconds)
-	for _, name := range []string{"cluster", "classify", "sift"} {
-		if _, ok := res.Stages[name]; !ok {
-			t.Errorf("Result.Stages missing downstream stage %q", name)
-		}
-	}
-	if in := res.Stages["ingest"]; in.RecordsOut != int64(spec.NSamples) || in.Bytes == 0 {
-		t.Errorf("ingest stage = %+v, want %d records out and nonzero bytes", in, spec.NSamples)
-	}
-	if cl := res.Stages["classify"]; cl.RecordsOut != int64(res.Records) {
-		t.Errorf("classify RecordsOut = %d, want %d", cl.RecordsOut, res.Records)
-	}
-	if p := job.Progress(); len(p.Stages) == 0 {
-		t.Error("Progress.Stages empty after completion")
-	}
-
-	// The job's stage walls also feed the engine registry.
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	scrape := b.String()
-	for _, want := range []string{
-		`drapid_job_stage_seconds_count{stage="dedisperse"}`,
-		`drapid_jobs_submitted_total{kind="detect"} 1`,
-		`drapid_jobs_finished_total{kind="detect",state="succeeded"} 1`,
-		`drapid_job_seconds_count{kind="detect"} 1`,
+// TestDetectStagesPartition checks every detect path against the one
+// clock: DetectSeconds spans the whole work function — source, segments,
+// final sift view — so every reported stage joins the partition. On the
+// fleet path the worker-side stage seconds come back over the wire and
+// fold across shards first.
+func TestDetectStagesPartition(t *testing.T) {
+	for name, tc := range map[string]struct {
+		opts   []drapid.Option
+		job    drapid.DetectJob
+		scrape []string // registry lines beyond the per-job ones
+	}{
+		"batch":     {},
+		"streaming": {job: drapid.DetectJob{BlockSamples: 4096}},
+		"fleet": {
+			opts: []drapid.Option{drapid.WithWorkers(4), drapid.WithFleetWorkers(2)},
+			job:  drapid.DetectJob{Shards: 4},
+			scrape: []string{
+				"drapid_fleet_workers_known 2",
+				"drapid_fleet_shards_done_total",
+				"drapid_fleet_shard_attempts_total",
+			},
+		},
 	} {
-		if !strings.Contains(scrape, want) {
-			t.Errorf("registry scrape missing %q", want)
-		}
-	}
-}
+		t.Run(name, func(t *testing.T) {
+			reg := drapid.NewMetricsRegistry()
+			engine, err := drapid.New(append(tc.opts, drapid.WithMetrics(reg))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer engine.Close()
 
-// TestDetectStagesPartitionStreaming checks the streaming path: the
-// stages interleave with ingest across the whole loop and DetectSeconds
-// covers all of it, so every reported stage joins the partition.
-func TestDetectStagesPartitionStreaming(t *testing.T) {
-	engine, err := drapid.New(drapid.WithMetrics(drapid.NewMetricsRegistry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
+			spec := detectSynthSpec()
+			tc.job.Synth, tc.job.Threshold = &spec, 6.5
+			job, res := runDetectJob(t, engine, tc.job)
+			if tc.job.Shards > 1 && (res.Fleet == nil || res.Fleet.Done == 0) {
+				t.Fatalf("Result.Fleet = %+v, want completed shards", res.Fleet)
+			}
 
-	spec := detectSynthSpec()
-	_, res := runDetectJob(t, engine, drapid.DetectJob{
-		Synth:        &spec,
-		Threshold:    6.5,
-		BlockSamples: 4096,
-	})
-	if len(res.Stages) == 0 {
-		t.Fatal("Result.Stages empty")
+			// Every stage reports (stageSum fails on a missing one), and
+			// together they partition the clock.
+			stageSum(t, res.Stages, "ingest", "zerodm", "dedisperse", "normalise", "boxcar", "cluster", "classify", "sift")
+			sum := stageSum(t, res.Stages, stageNames(res.Stages)...)
+			wantClose(t, name, sum, res.DetectSeconds)
+			if in := res.Stages["ingest"]; in.RecordsOut != int64(spec.NSamples) || in.Bytes == 0 {
+				t.Errorf("ingest stage = %+v, want %d records out and nonzero bytes", in, spec.NSamples)
+			}
+			if cl := res.Stages["classify"]; cl.RecordsOut != int64(res.Records) {
+				t.Errorf("classify RecordsOut = %d, want %d", cl.RecordsOut, res.Records)
+			}
+			if p := job.Progress(); len(p.Stages) == 0 {
+				t.Error("Progress.Stages empty after completion")
+			}
+
+			// The job's stage walls also feed the engine registry.
+			var b strings.Builder
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			scrape := b.String()
+			for _, want := range append([]string{
+				`drapid_job_stage_seconds_count{stage="dedisperse"}`,
+				`drapid_jobs_submitted_total{kind="detect"} 1`,
+				`drapid_jobs_finished_total{kind="detect",state="succeeded"} 1`,
+				`drapid_job_seconds_count{kind="detect"} 1`,
+			}, tc.scrape...) {
+				if !strings.Contains(scrape, want) {
+					t.Errorf("registry scrape missing %q", want)
+				}
+			}
+		})
 	}
-	sum := stageSum(t, res.Stages, stageNames(res.Stages)...)
-	wantClose(t, "streaming", sum, res.DetectSeconds)
 }
 
 // TestConcurrentJobsMetrics hammers one registry from several jobs at
@@ -209,42 +209,6 @@ func TestConcurrentJobsMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("registry scrape missing %q", want)
-		}
-	}
-}
-
-// TestDetectStagesPartitionFleet checks the sharded path: worker-side
-// stage seconds come back over the wire, fold across shards, and
-// partition the coordinator's whole-loop DetectSeconds together with
-// the driver-side ingest and sift spans.
-func TestDetectStagesPartitionFleet(t *testing.T) {
-	reg := drapid.NewMetricsRegistry()
-	engine, err := drapid.New(drapid.WithWorkers(4), drapid.WithFleetWorkers(2), drapid.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-
-	spec := detectSynthSpec()
-	_, res := runDetectJob(t, engine, drapid.DetectJob{Synth: &spec, Threshold: 6.5, Shards: 4})
-	if res.Fleet == nil || res.Fleet.Done == 0 {
-		t.Fatalf("Result.Fleet = %+v, want completed shards", res.Fleet)
-	}
-	sum := stageSum(t, res.Stages, stageNames(res.Stages)...)
-	wantClose(t, "fleet", sum, res.DetectSeconds)
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	scrape := b.String()
-	for _, want := range []string{
-		"drapid_fleet_workers_known 2",
-		"drapid_fleet_shards_done_total",
-		"drapid_fleet_shard_attempts_total",
-	} {
-		if !strings.Contains(scrape, want) {
-			t.Errorf("fleet registry scrape missing %q", want)
 		}
 	}
 }
