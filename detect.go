@@ -320,12 +320,10 @@ func detectGrid(lo, hi, step float64) (*dmgrid.Grid, error) {
 
 // eventSource is where a detect job's events come from, plus what the one
 // driver (detectWork) needs to know about it: the observation header (for
-// the key and the features), the segmenter's flush policy, and which
-// frontend stages are concurrent busy time to apportion onto the job's wall.
+// the key and the features) and the segmenter's flush policy.
 type eventSource struct {
-	hdr     sps.Header
-	single  bool
-	kernels []string
+	hdr    sps.Header
+	single bool
 	// run searches, feeding time-ordered event batches to emit.
 	run func(emit func([]spe.SPE) error) (sps.Stats, error)
 	// fleet summarises a sharded run once run returns.
@@ -374,7 +372,7 @@ func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.
 			res.TopCandidates, res.Sources = view.Top, view.Sources
 		}
 		res.DetectSeconds = time.Since(start).Seconds()
-		applyDetectStages(j.trace, stats, res.DetectSeconds, src.kernels)
+		applyDetectStages(j.trace, stats, res.DetectSeconds)
 		return res, nil
 	}
 }
@@ -382,9 +380,8 @@ func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.
 // detectSource resolves the spec's event source. A sharded job runs on the
 // fleet (fleetSource). A FilterbankStream is searched gulp by gulp as it
 // arrives, and BlockSamples gulps an ingested observation the same way;
-// both flush at quiet gaps, and the stream driver filters each gulp as a
-// sequential zerodm wall. Otherwise the batch search emits every event once
-// into a single segment, as the fleet's DM barrier does.
+// both flush at quiet gaps. Otherwise the batch search emits every event
+// once into a single segment, as the fleet's DM barrier does.
 func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) (*eventSource, error) {
 	if spec.Shards > 1 {
 		return e.fleetSource(j, spec, grid)
@@ -408,7 +405,7 @@ func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sp
 		if err != nil {
 			return nil, fmt.Errorf("drapid: reading filterbank header: %w", err)
 		}
-		return &eventSource{hdr: hdr, kernels: detectStageKernels, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
+		return &eventSource{hdr: hdr, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
 			return sps.SearchBlocks(j.ctx, hdr, rd, cfg, emit)
 		}}, nil
 	}
@@ -428,11 +425,11 @@ func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sp
 	ingest.AddBytes(int64(len(fb.Data)) * 4)
 	ingest.End()
 	if cfg.BlockSamples > 0 {
-		return &eventSource{hdr: fb.Header, kernels: detectStageKernels, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
+		return &eventSource{hdr: fb.Header, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
 			return sps.SearchFilterbank(j.ctx, fb, cfg, emit)
 		}}, nil
 	}
-	return &eventSource{hdr: fb.Header, single: true, kernels: detectStageKernelsZeroDM, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
+	return &eventSource{hdr: fb.Header, single: true, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
 		events, stats, err := sps.Search(j.ctx, fb, cfg)
 		if err != nil {
 			return stats, err

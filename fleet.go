@@ -356,9 +356,7 @@ func (e *Engine) claimID(id string) error {
 // §7.3, plus the fleet merge contract, §9). DM shards merge at a barrier,
 // so every event arrives at once and one segment keeps observation-global
 // features (ClusterRank) bit-identical to the unsharded run; time shards
-// stream through the quiet-gap segmenter like BlockSamples. From the
-// coordinator's clock every shard-side stage, zerodm included, is
-// concurrent busy time.
+// stream through the quiet-gap segmenter like BlockSamples.
 func (e *Engine) fleetSource(j *Job, spec DetectJob, grid *dmgrid.Grid) (*eventSource, error) {
 	ingest := j.trace.Span(sps.StageIngest)
 	raw := spec.Filterbank
@@ -395,7 +393,7 @@ func (e *Engine) fleetSource(j *Job, spec DetectJob, grid *dmgrid.Grid) (*eventS
 		shards = fleet.PlanDM(j.id, raw, grid.Trials(), search, spec.Shards)
 	}
 	j.setFleet(FleetProgress{Workers: e.coord.Workers(), Shards: len(shards)})
-	src := &eventSource{hdr: fb.Header, single: !timeOrder, kernels: detectStageKernelsZeroDM}
+	src := &eventSource{hdr: fb.Header, single: !timeOrder}
 	src.run = func(emit func([]spe.SPE) error) (sps.Stats, error) {
 		stats, status, err := e.coord.Run(j.ctx, shards, emit, fleet.RunOptions{
 			TimeOrder:  timeOrder,

@@ -83,9 +83,10 @@ func sampleOp(b *testing.B, op func()) *benchjson.Sample {
 // dedisperseAll runs one full DM fan-out over fb on the given pool width,
 // with an optional per-trial latency standing in for the filterbank block
 // ingest (disk/network reads) that accompanies each trial in a real-time
-// search. A non-nil cm selects the blocked kernel, staging per call as the
-// search driver does (the staging cost is part of what the entry measures,
-// amortised over the trial grid exactly as in production).
+// search. A non-nil cm selects the production kernel, staging per call as
+// the search driver does (the staging cost is part of what the entry
+// measures, amortised over the trial grid exactly as in production); nil
+// times the per-sample reference, refDedisperse.
 func dedisperseAll(b *testing.B, fb *Filterbank, dms []float64, workers int, latency time.Duration, cm *chanMajor) {
 	b.Helper()
 	exec := rdd.ExecConfig{Workers: workers}
@@ -100,12 +101,12 @@ func dedisperseAll(b *testing.B, fb *Filterbank, dms []float64, workers int, lat
 		}
 		bufs := trialPool.Get().(*trialBuffers)
 		defer trialPool.Put(bufs)
-		bufs.shifts = ChannelShifts(fb.Header, dms[t], bufs.shifts)
+		shifts := ChannelShifts(fb.Header, dms[t], nil)
 		if cm != nil {
-			bufs.series = cm.dedisperse(bufs.shifts, 0, fb.NSamples-maxShiftOf(bufs.shifts), bufs.series)
+			bufs.series = dedisperse(cm, shifts, 0, cm.nchan, 0, fb.NSamples-MaxShift(fb.Header, dms[t]), bufs.series)
 			return
 		}
-		series, err := Dedisperse(fb, bufs.shifts, bufs.series)
+		series, err := refDedisperse(fb, shifts, bufs.series)
 		if err != nil {
 			panic(err)
 		}
@@ -116,17 +117,17 @@ func dedisperseAll(b *testing.B, fb *Filterbank, dms []float64, workers int, lat
 }
 
 // subbandDedisperseAll runs one full fine-grid fan-out through the
-// two-stage plan — the dedispersion work of searchSubband without the
-// filtering stages, via the same dedisperseNominal task body the search
-// uses, mirroring what dedisperseAll measures for brute force.
+// two-stage plan — the dedispersion work of the batch subband search
+// without the filtering stages, via the same dedisperseNominal task body
+// the search uses (shift tables and staging included), mirroring what
+// dedisperseAll measures for brute force.
 func subbandDedisperseAll(b *testing.B, fb *Filterbank, plan *SubbandPlan, workers int, cm *chanMajor) {
 	b.Helper()
 	exec := rdd.ExecConfig{Workers: workers}
-	if cm != nil {
-		if err := cm.stage(context.Background(), exec, fb.Data, fb.NSamples, fb.NChans, false, nil); err != nil {
-			b.Fatal(err)
-		}
+	if err := cm.stage(context.Background(), exec, fb.Data, fb.NSamples, fb.NChans, false, nil); err != nil {
+		b.Fatal(err)
 	}
+	tabs := buildShiftTables(fb.Header, plan.dms, plan)
 	groups := plan.nominalGroups()
 	if err := rdd.RunParallel(context.Background(), exec, len(groups), func(k int) {
 		if len(groups[k]) == 0 {
@@ -134,7 +135,7 @@ func subbandDedisperseAll(b *testing.B, fb *Filterbank, plan *SubbandPlan, worke
 		}
 		bufs := subbandPool.Get().(*subbandBuffers)
 		defer subbandPool.Put(bufs)
-		plan.dedisperseNominal(fb, cm, k, groups[k], bufs, func(int, []float64) error { return nil }, nil)
+		plan.dedisperseNominal(cm, tabs, k, groups[k], bufs, func(int, []float64) {})
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -146,20 +147,20 @@ func BenchmarkDedisperse(b *testing.B) {
 	// per trial: the per-op volume is trials × the 4-byte data block.
 	bytesPerOp := int64(len(dms)) * int64(len(fb.Data)) * 4
 
-	// The kernel axis is the PR 9 headline: the same single-worker trial
-	// fan-out through the original sample-major walk and the cache-blocked
-	// kernel (staging included), so the artifact carries the locality
-	// speedup independent of core count.
+	// The kernel axis: the same single-worker trial fan-out through the
+	// sample-major reference walk (refDedisperse) and the production kernel
+	// (staging included), so the artifact carries the locality speedup
+	// independent of core count.
 	var scalarNs float64
-	for _, kern := range []KernelKind{KernelScalar, KernelBlocked} {
+	for _, kern := range []string{"scalar", "blocked"} {
 		b.Run(fmt.Sprintf("kernel=%s", kern), func(b *testing.B) {
 			var cm *chanMajor
-			if kern == KernelBlocked {
+			if kern == "blocked" {
 				cm = &chanMajor{}
 			}
 			b.SetBytes(bytesPerOp)
 			s := sampleOp(b, func() { dedisperseAll(b, fb, dms, 1, 0, cm) })
-			if kern == KernelScalar {
+			if kern == "scalar" {
 				scalarNs = s.NsPerOp()
 			} else if scalarNs > 0 && s.NsPerOp() > 0 {
 				b.ReportMetric(scalarNs/s.NsPerOp(), "speedup")

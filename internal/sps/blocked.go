@@ -2,87 +2,28 @@ package sps
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"drapid/internal/rdd"
 )
 
-// This file is the cache-blocked dedispersion kernel (DESIGN.md §11). The
-// sample-major filterbank layout (Data[t*NChans+ch]) is what makes the
-// scalar kernels slow: each channel's shifted walk reads one float32 every
-// NChans values, so a 64-byte cache line delivers four useful bytes and the
-// kernel is bound by wasted memory traffic, not arithmetic. The blocked
-// kernel stages a data block ONCE into channel-major order — each channel's
-// samples contiguous — and then accumulates trials in L1-sized time tiles:
-// the output tile stays resident while the channels' contiguous spans
-// stream through four at a time, so every fetched line is fully consumed,
-// the tile is loaded and stored once per four channels, and the staging
-// cost is amortised over the whole trial grid (batch) or every trial of a
-// gulp (streaming).
+// This file is the dedispersion kernel (DESIGN.md §11). The sample-major
+// filterbank layout (Data[t*NChans+ch]) makes a per-channel shifted walk
+// read one float32 every NChans values, so a 64-byte cache line delivers
+// four useful bytes and the walk is bound by wasted memory traffic, not
+// arithmetic. The kernel therefore stages a data block ONCE into
+// channel-major order — each channel's samples contiguous, zero-DM filter
+// fused in — and then accumulates trials in L1-sized time tiles: the output
+// tile stays resident while the channels' contiguous spans stream through
+// four at a time, so every fetched line is fully consumed, the tile is
+// loaded and stored once per four channels, and the staging cost is
+// amortised over the whole trial grid (batch) or every trial of a gulp
+// (streaming).
 //
-// Equivalence is exact, not approximate: for every output sample the
-// channels accumulate in ascending channel order, precisely the order
-// Dedisperse and SubbandPlan.stage1 use, so the blocked kernels are
-// bit-identical to the scalar oracle (Config.Plan.Kernel selects between
-// them; the randomized sweep in equiv_test.go is the gate).
-
-// KernelKind selects the dedispersion kernel implementation of a search.
-// The dedispersion *plan* (brute vs subband) decides what arithmetic runs;
-// the kernel decides how it walks memory — both kernels produce
-// bit-identical output for either plan.
-type KernelKind string
-
-const (
-	// KernelAuto (the zero value) selects the blocked kernel, the
-	// production default.
-	KernelAuto KernelKind = ""
-	// KernelBlocked forces the cache-blocked kernel: channel-major staging
-	// plus tiled accumulation.
-	KernelBlocked KernelKind = "blocked"
-	// KernelScalar forces the original sample-major kernels — the slow,
-	// obviously-correct oracle the blocked kernel is tested against.
-	KernelScalar KernelKind = "scalar"
-)
-
-// ParseKernelKind maps the spelling of a dedispersion kernel to its
-// KernelKind: "" and "auto" select the blocked default.
-func ParseKernelKind(s string) (KernelKind, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case string(KernelBlocked):
-		return KernelBlocked, nil
-	case string(KernelScalar):
-		return KernelScalar, nil
-	}
-	return KernelAuto, errUnknownKernel(s)
-}
-
-func errUnknownKernel(s string) error {
-	return fmt.Errorf("sps: unknown dedispersion kernel %q (want auto, blocked or scalar)", s)
-}
-
-// validKernel rejects unknown kernel spellings at search setup.
-func validKernel(k KernelKind) error {
-	switch k {
-	case KernelAuto, KernelBlocked, KernelScalar:
-		return nil
-	}
-	return errUnknownKernel(string(k))
-}
-
-// maxShiftOf returns the largest entry of a non-negative shift table —
-// the trailing samples a dedispersed series loses.
-func maxShiftOf(shifts []int) int {
-	m := 0
-	for _, s := range shifts {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
+// For every output sample the channels accumulate in ascending channel
+// order, the order of the per-sample reference loops in ref_test.go, so the
+// kernel is bit-identical to them (the randomized sweep in equiv_test.go is
+// the gate).
 
 // chanMajor is the channel-major staging of one data block: channel ch's
 // rows [0, rows) are the contiguous slice data[ch*rows : (ch+1)*rows].
@@ -184,7 +125,7 @@ func (cm *chanMajor) span(ch, off, n int) []float32 { return cm.col(ch)[off:][:n
 // ladder's window sums) stays in L2 whatever the series length.
 const tileSamples = 1 << 12
 
-// planTileSamples picks the time-tile length of the blocked accumulation:
+// planTileSamples picks the time-tile length of the accumulation:
 // the largest power of two no longer than the series, capped at
 // tileSamples. The floor keeps degenerate series from shattering into
 // per-sample tiles.
@@ -196,14 +137,15 @@ func planTileSamples(n int) int {
 	return tile
 }
 
-// accumulate adds channels [chLo, chHi) into the float64 output tile
+// accumulate adds channels [chLo, chHi) of cm into the output tile
 // out[t0:t1): out[t] += col(ch)[srcOff + t + shifts[ch]]. The caller
-// guarantees every read lands inside the staged block (the same geometry
-// the scalar kernels enforce). Four channels stream past the tile per pass
-// — one load and store of the tile per four channels instead of per
-// channel — with the adds kept in ascending-channel order, so each output
-// sample's float64 accumulation order matches Dedisperse exactly.
-func (cm *chanMajor) accumulate(shifts []int, chLo, chHi, srcOff, t0, t1 int, out []float64) {
+// guarantees every read lands inside the staged block. Four channels stream
+// past the tile per pass — one load and store of the tile per four channels
+// instead of per channel — with the adds kept in ascending-channel order,
+// (((dst+a)+b)+c)+d, so each output sample's accumulation order is the
+// reference order exactly. T is float64 for a full-band trial and float32
+// for a stage-1 subband series.
+func accumulate[T float32 | float64](cm *chanMajor, shifts []int, chLo, chHi, srcOff, t0, t1 int, out []T) {
 	dst := out[t0:t1]
 	off, n := srcOff+t0, len(dst)
 	ch := chLo
@@ -211,66 +153,30 @@ func (cm *chanMajor) accumulate(shifts []int, chLo, chHi, srcOff, t0, t1 int, ou
 		a, b := cm.span(ch, off+shifts[ch], n), cm.span(ch+1, off+shifts[ch+1], n)
 		c, d := cm.span(ch+2, off+shifts[ch+2], n), cm.span(ch+3, off+shifts[ch+3], n)
 		for t := range dst {
-			dst[t] = (((dst[t] + float64(a[t])) + float64(b[t])) + float64(c[t])) + float64(d[t])
+			dst[t] = (((dst[t] + T(a[t])) + T(b[t])) + T(c[t])) + T(d[t])
 		}
 	}
 	for ; ch < chHi; ch++ {
 		for t, v := range cm.span(ch, off+shifts[ch], n) {
-			dst[t] += float64(v)
+			dst[t] += T(v)
 		}
 	}
 }
 
-// accumulateF32 is accumulate with float32 accumulation — the subband
-// stage-1 arithmetic, matching SubbandPlan.stage1's per-sample order.
-func (cm *chanMajor) accumulateF32(shifts []int, chLo, chHi, srcOff, t0, t1 int, out []float32) {
-	dst := out[t0:t1]
-	off, n := srcOff+t0, len(dst)
-	ch := chLo
-	for ; ch+4 <= chHi; ch += 4 {
-		a, b := cm.span(ch, off+shifts[ch], n), cm.span(ch+1, off+shifts[ch+1], n)
-		c, d := cm.span(ch+2, off+shifts[ch+2], n), cm.span(ch+3, off+shifts[ch+3], n)
-		for t := range dst {
-			dst[t] = (((dst[t] + a[t]) + b[t]) + c[t]) + d[t]
-		}
-	}
-	for ; ch < chHi; ch++ {
-		for t, v := range cm.span(ch, off+shifts[ch], n) {
-			dst[t] += v
-		}
-	}
-}
-
-// dedisperse runs one trial's full accumulation over the staged block:
-// out[t] = Σ_ch col(ch)[srcOff + t + shifts[ch]] for t in [0, n), walked in
-// L1-sized time tiles, each zeroed as it is reached. The result is
-// bit-identical to Dedisperse over the same rows.
-func (cm *chanMajor) dedisperse(shifts []int, srcOff, n int, out []float64) []float64 {
+// dedisperse runs one series' full accumulation of channels [chLo, chHi)
+// over the staged block: out[t] = Σ_ch col(ch)[srcOff + t + shifts[ch]] for
+// t in [0, n), walked in L1-sized time tiles, each zeroed as it is reached;
+// out is reused when its capacity suffices.
+func dedisperse[T float32 | float64](cm *chanMajor, shifts []int, chLo, chHi, srcOff, n int, out []T) []T {
 	if cap(out) < n {
-		out = make([]float64, n)
+		out = make([]T, n)
 	}
 	out = out[:n]
 	tile := planTileSamples(n)
 	for t0 := 0; t0 < n; t0 += tile {
 		t1 := min(t0+tile, n)
 		clear(out[t0:t1])
-		cm.accumulate(shifts, 0, cm.nchan, srcOff, t0, t1, out)
-	}
-	return out
-}
-
-// dedisperseF32 is dedisperse for a float32 output series over a channel
-// range — one subband of stage 1.
-func (cm *chanMajor) dedisperseF32(shifts []int, chLo, chHi, srcOff, n int, out []float32) []float32 {
-	if cap(out) < n {
-		out = make([]float32, n)
-	}
-	out = out[:n]
-	tile := planTileSamples(n)
-	for t0 := 0; t0 < n; t0 += tile {
-		t1 := min(t0+tile, n)
-		clear(out[t0:t1])
-		cm.accumulateF32(shifts, chLo, chHi, srcOff, t0, t1, out)
+		accumulate(cm, shifts, chLo, chHi, srcOff, t0, t1, out)
 	}
 	return out
 }

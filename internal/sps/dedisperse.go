@@ -1,9 +1,6 @@
 package sps
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // DispersionK is the cold-plasma dispersion constant in MHz² pc⁻¹ cm³ s:
 // a pulse at dispersion measure DM arrives at frequency f later than at
@@ -55,7 +52,9 @@ func MaxShift(h Header, dm float64) int {
 // channel at one instant, so it cancels exactly; a dispersed pulse touches
 // only ~width/sweep of the band at any instant and loses only that
 // fraction of its power. The cost is one filtered copy of the data block
-// (the original is left untouched so callers can search both ways).
+// (the original is left untouched so callers can search both ways). Search
+// never pays it: with Config.ZeroDM both drivers fuse this arithmetic into
+// the channel-major staging of each block (chanMajor.stage).
 func ZeroDMFilter(fb *Filterbank) *Filterbank {
 	out := &Filterbank{Header: fb.Header, Data: make([]float32, len(fb.Data))}
 	nchan := fb.NChans
@@ -74,48 +73,72 @@ func ZeroDMFilter(fb *Filterbank) *Filterbank {
 	return out
 }
 
-// Dedisperse sums the filterbank's channels with the given per-channel
-// sample shifts into out, producing one dedispersed time series: sample t
-// of the output is the total power of a pulse whose highest-frequency edge
-// arrived at sample t. The output holds NSamples − max(shifts) samples
-// (the tail where some channel would read past the end is dropped, keeping
-// every output sample a full-band sum with uniform noise statistics); out
-// is reused when its capacity suffices. An error is returned when the
-// trial's dispersion sweep exceeds the observation.
-func Dedisperse(fb *Filterbank, shifts []int, out []float64) ([]float64, error) {
-	if len(shifts) != fb.NChans {
-		return nil, fmt.Errorf("sps: %d shifts for %d channels", len(shifts), fb.NChans)
+// shiftTables holds every shift table a search's dedispersion reads,
+// derived once per search from the header and the plan: each trial's sweep
+// (the trailing samples its output loses, fixing its length at N − sweep),
+// the overlap a block stream must carry (the largest sweep), and the plan's
+// channel/subband shift tables. They are block-invariant, so the batch
+// search over the whole observation and the stream over every gulp index
+// the same tables.
+type shiftTables struct {
+	overlap int
+	sweeps  []int
+	// trialCh is the brute path's per-trial channel shift table.
+	trialCh [][]int
+	// nomCh/nomIntra are the subband path's per-nominal stage-1 channel
+	// shifts and per-subband intra maxima; trialSub its per-trial stage-2
+	// subband shifts.
+	nomCh    [][]int
+	nomIntra [][]int
+	trialSub [][]int
+}
+
+// table returns n rows of width ints carved from one allocation, so a
+// search's tables cost a handful of allocations however many trials it has.
+func table(n, width int) [][]int {
+	flat := make([]int, n*width)
+	rows := make([][]int, n)
+	for i := range rows {
+		rows[i] = flat[i*width : (i+1)*width : (i+1)*width]
 	}
-	maxShift := 0
-	for _, s := range shifts {
-		if s < 0 {
-			return nil, fmt.Errorf("sps: negative channel shift %d", s)
+	return rows
+}
+
+// buildShiftTables precomputes shiftTables for one search; a nil plan is
+// brute force.
+func buildShiftTables(hdr Header, dms []float64, plan *SubbandPlan) *shiftTables {
+	ss := &shiftTables{sweeps: make([]int, len(dms))}
+	if plan == nil {
+		ss.trialCh = table(len(dms), hdr.NChans)
+		for i, dm := range dms {
+			ChannelShifts(hdr, dm, ss.trialCh[i])
+			ss.sweeps[i] = MaxShift(hdr, dm)
+			ss.overlap = max(ss.overlap, ss.sweeps[i])
 		}
-		if s > maxShift {
-			maxShift = s
+		return ss
+	}
+	ss.nomCh = table(len(plan.NominalDMs), hdr.NChans)
+	ss.nomIntra = table(len(plan.NominalDMs), plan.NSub)
+	for k, nu := range plan.NominalDMs {
+		for s := 0; s < plan.NSub; s++ {
+			lo, hi := plan.subRange(s)
+			for ch := lo; ch < hi; ch++ {
+				sh := int(math.Round(DelaySeconds(nu, hdr.FreqMHz(ch), plan.subRef[s]) / hdr.TsampSec))
+				ss.nomCh[k][ch] = sh
+				ss.nomIntra[k][s] = max(ss.nomIntra[k][s], sh)
+			}
 		}
 	}
-	n := fb.NSamples - maxShift
-	if n < 1 {
-		return nil, fmt.Errorf("sps: dispersion sweep of %d samples exceeds the %d-sample observation", maxShift, fb.NSamples)
-	}
-	if cap(out) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	nchan := fb.NChans
-	for ch := 0; ch < nchan; ch++ {
-		// Walk one channel's column through the whole series: the shifted
-		// reads are sequential in t, so each channel streams linearly
-		// through memory with stride nchan.
-		base := shifts[ch]*nchan + ch
-		for t := 0; t < n; t++ {
-			out[t] += float64(fb.Data[base])
-			base += nchan
+	ss.trialSub = table(len(dms), plan.NSub)
+	ftop := hdr.FTopMHz()
+	for i, dm := range dms {
+		intra := ss.nomIntra[plan.assign[i]]
+		for s := 0; s < plan.NSub; s++ {
+			sh := int(math.Round(DelaySeconds(dm, plan.subRef[s], ftop) / hdr.TsampSec))
+			ss.trialSub[i][s] = sh
+			ss.sweeps[i] = max(ss.sweeps[i], sh+intra[s])
 		}
+		ss.overlap = max(ss.overlap, ss.sweeps[i])
 	}
-	return out, nil
+	return ss
 }

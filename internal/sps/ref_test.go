@@ -5,15 +5,152 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"drapid/internal/spe"
 )
 
-// This file holds the per-sample reference forms of the normalise and boxcar
-// kernels — the loops the tiled production code replaced — and pins the
-// production code to them bit-for-bit. The scalar oracle of equiv_test.go
-// only switches the dedispersion kernel, so without these nothing
-// independent would check the region split of normalizeInto or the tile
-// walk of boxLadder.detect.
+// This file holds the per-sample reference forms of the search kernels —
+// the loops the tiled production code replaced — and pins the production
+// code to them bit-for-bit: dedispersion (refDedisperse, refStage1),
+// stage 2 (refSumSubbands), normalise (refNormalize) and boxcar
+// (refBoxcarDetect). refSearch chains them into the whole batch search;
+// it shares no kernel with Search, only the plan, the shift rounding and
+// the event conversion, and is the oracle of equiv_test.go.
+
+// refDedisperse sums the filterbank's channels with the given per-channel
+// sample shifts into out, one channel's column at a time with stride
+// NChans: sample t of the output is the total power of a pulse whose
+// highest-frequency edge arrived at sample t. The output holds NSamples −
+// max(shifts) samples (the tail where some channel would read past the end
+// is dropped, keeping every output sample a full-band sum); out is reused
+// when its capacity suffices. An error is returned when the trial's
+// dispersion sweep exceeds the observation.
+func refDedisperse(fb *Filterbank, shifts []int, out []float64) ([]float64, error) {
+	if len(shifts) != fb.NChans {
+		return nil, fmt.Errorf("sps: %d shifts for %d channels", len(shifts), fb.NChans)
+	}
+	maxShift := 0
+	for _, s := range shifts {
+		if s < 0 {
+			return nil, fmt.Errorf("sps: negative channel shift %d", s)
+		}
+		if s > maxShift {
+			maxShift = s
+		}
+	}
+	n := fb.NSamples - maxShift
+	if n < 1 {
+		return nil, fmt.Errorf("sps: dispersion sweep of %d samples exceeds the %d-sample observation", maxShift, fb.NSamples)
+	}
+	if cap(out) < n {
+		out = make([]float64, n)
+	}
+	out = out[:n]
+	clear(out)
+	nchan := fb.NChans
+	for ch := 0; ch < nchan; ch++ {
+		base := shifts[ch]*nchan + ch
+		for t := 0; t < n; t++ {
+			out[t] += float64(fb.Data[base])
+			base += nchan
+		}
+	}
+	return out, nil
+}
+
+// refStage1 is subband stage 1 at nominal DM nu one channel column at a
+// time: subband s sums its channels, each shifted by its delay relative to
+// the subband's reference frequency, into a float32 series of NSamples −
+// (the subband's largest shift) samples. It returns nil when some
+// subband's own sweep exceeds the observation, which leaves every fine
+// trial of the nominal unconstrainable.
+func refStage1(fb *Filterbank, plan *SubbandPlan, nu float64) [][]float32 {
+	series := make([][]float32, plan.NSub)
+	for s := range series {
+		lo, hi := plan.subRange(s)
+		shifts := make([]int, hi-lo)
+		for ch := lo; ch < hi; ch++ {
+			shifts[ch-lo] = int(math.Round(DelaySeconds(nu, fb.FreqMHz(ch), plan.subRef[s]) / fb.TsampSec))
+		}
+		n := fb.NSamples - slices.Max(shifts)
+		if n < 1 {
+			return nil
+		}
+		series[s] = make([]float32, n)
+		for ch := lo; ch < hi; ch++ {
+			for t := range series[s] {
+				series[s][t] += fb.Data[(t+shifts[ch-lo])*fb.NChans+ch]
+			}
+		}
+	}
+	return series
+}
+
+// refSearch is Search built from the reference loops alone: ZeroDMFilter's
+// filtered copy, then per trial refDedisperse (brute) or refStage1 plus
+// refSumSubbands at the trial's own stage-2 shifts (subband), then
+// refNormalize, refBoxcarDetect, trialEvents and spe.SortByTime. It
+// validates and resolves the plan as Search does, honours TrialLo/TrialHi,
+// and skips what Search skips: trials whose sweep exceeds the observation.
+func refSearch(fb *Filterbank, cfg Config) ([]spe.SPE, Stats, error) {
+	var stats Stats
+	widths, threshold, plan, _, err := resolveSearch(fb.Header, cfg)
+	if err != nil {
+		return nil, stats, err
+	}
+	if cfg.ZeroDM {
+		fb = ZeroDMFilter(fb)
+	}
+	var out []spe.SPE
+	search := func(dm float64, series []float64) {
+		refNormalize(series, cfg.NormWindow)
+		out = append(out, trialEvents(dm, fb.TsampSec, refBoxcarDetect(series, widths, threshold))...)
+		stats.Trials++
+		stats.Samples += int64(len(series))
+	}
+	stage1 := map[int][][]float32{} // per nominal index
+	lo, hi := trialRange(cfg)
+	for i := lo; i < hi; i++ {
+		dm := cfg.DMs[i]
+		if plan == nil {
+			if MaxShift(fb.Header, dm) >= fb.NSamples {
+				continue
+			}
+			series, err := refDedisperse(fb, ChannelShifts(fb.Header, dm, nil), nil)
+			if err != nil {
+				return nil, stats, err
+			}
+			search(dm, series)
+			continue
+		}
+		k := plan.assign[i]
+		sub, ok := stage1[k]
+		if !ok {
+			sub = refStage1(fb, plan, plan.NominalDMs[k])
+			stage1[k] = sub
+		}
+		if sub == nil {
+			continue
+		}
+		subShifts := make([]int, plan.NSub)
+		n := math.MaxInt
+		for s := range subShifts {
+			subShifts[s] = int(math.Round(DelaySeconds(dm, plan.subRef[s], fb.FTopMHz()) / fb.TsampSec))
+			n = min(n, len(sub[s])-subShifts[s])
+		}
+		if n < 1 {
+			continue
+		}
+		series := make([]float64, n)
+		refSumSubbands(sub, subShifts, 0, series)
+		search(dm, series)
+	}
+	spe.SortByTime(out)
+	stats.Events = len(out)
+	return out, stats, nil
+}
 
 // refNormalize is Normalize one sample at a time: every sample clamps its
 // own window and takes its own moments and square root.
@@ -207,9 +344,8 @@ func TestBoxLadderSumsStayTileSized(t *testing.T) {
 }
 
 // refSumSubbands is stage 2's summation one subband per pass over the whole
-// output — the loop combine and combineBlock each carried before they shared
-// sumSubbands. The scalar dedispersion oracle runs the same stage 2 as the
-// blocked kernel, so this reference is what pins it.
+// output — the loop the batch and stream stage 2 each carried before they
+// shared sumSubbands.
 func refSumSubbands(series [][]float32, subShifts []int, off int, out []float64) {
 	for t := range out {
 		out[t] = 0

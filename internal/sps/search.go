@@ -26,9 +26,9 @@ type Config struct {
 	NormWindow int
 	// ZeroDM applies the zero-DM filter (ZeroDMFilter's arithmetic) before
 	// dedispersion, cancelling broadband RFI at the cost of sensitivity to
-	// genuinely zero-DM signals. The batch search fuses it into the blocked
-	// kernel's channel-major staging, so it costs no filtered copy of the
-	// data block there. Detect jobs submitted through the engine enable it
+	// genuinely zero-DM signals. Batch and stream alike fuse it into the
+	// channel-major staging of each block, so it never costs a filtered
+	// copy of the data. Detect jobs submitted through the engine enable it
 	// by default.
 	ZeroDM bool
 	// Plan selects the dedispersion strategy (DESIGN.md §6): the zero
@@ -54,7 +54,7 @@ type Config struct {
 	// any block size (BlockSamples must cover the largest trial's sweep) and
 	// any worker count — provided NormWindow is explicit, since streaming
 	// substitutes DefaultNormWindow for the batch default of global
-	// moments. Zero (the default) keeps the whole-file batch kernels.
+	// moments. Zero (the default) keeps the whole-file batch driver.
 	BlockSamples int
 	// Exec configures the worker pool the DM trials fan out on — the same
 	// executor the distributed engine's stages use, so a search submitted
@@ -79,10 +79,9 @@ type Stats struct {
 	// SubbandPlan.Describe() for the two-stage path.
 	Plan string
 	// StageSeconds breaks the search down by pipeline stage (DESIGN.md
-	// §10). Sequential driver phases (ingest — streaming block reads —
-	// and the streaming driver's per-gulp zerodm) record wall seconds;
-	// the concurrent kernels (dedisperse, normalise, boxcar, and the
-	// batch search's zerodm, fused into its parallel staging tiles)
+	// §10). The one sequential driver phase (ingest — streaming block
+	// reads) records wall seconds; the concurrent kernels (zerodm, fused
+	// into the parallel staging tiles, dedisperse, normalise and boxcar)
 	// record *busy* seconds summed across workers, which the engine
 	// apportions onto the measured fan-out wall so a job's stage walls
 	// partition its elapsed time.
@@ -161,37 +160,33 @@ type kernelScratch struct {
 }
 
 // trialBuffers is the per-trial scratch a worker reuses: the dedispersed
-// series, the per-channel shift table and the downstream kernel scratch.
-// Pooling them makes steady-state search allocation-free per trial, which
-// is what lets the DM fan-out scale with workers instead of with the
-// allocator.
+// series and the downstream kernel scratch. Pooling them makes
+// steady-state search allocation-free per trial, which is what lets the DM
+// fan-out scale with workers instead of with the allocator.
 type trialBuffers struct {
 	series []float64
-	shifts []int
 	kernelScratch
 }
 
 var trialPool = sync.Pool{New: func() any { return &trialBuffers{} }}
 
 // subbandBuffers is the per-nominal scratch of the two-stage path: the
-// NSub stage-1 subband series, the stage-2 combined series, the two
-// shift tables, and the same downstream scratch trialBuffers carries. One
-// set serves a whole nominal group — stage 1 once, then every assigned
-// fine trial — so steady-state subband search is allocation-free per
-// nominal just as the brute path is per trial.
+// NSub stage-1 subband series, the stage-2 combined series, and the same
+// downstream scratch trialBuffers carries. One set serves a whole nominal
+// group — stage 1 once, then every assigned fine trial — so steady-state
+// subband search is allocation-free per nominal just as the brute path is
+// per trial.
 type subbandBuffers struct {
-	sub       [][]float32
-	combined  []float64
-	shifts    []int
-	subShifts []int
+	sub      [][]float32
+	combined []float64
 	kernelScratch
 }
 
 var subbandPool = sync.Pool{New: func() any { return &subbandBuffers{} }}
 
 // Search runs the full frontend over one filterbank: for every trial DM it
-// dedisperses (two-stage subband by default, brute-force Dedisperse as
-// the selectable oracle — see Config.Plan and DESIGN.md §6), normalises
+// dedisperses (two-stage subband by default, one-stage brute force when
+// forced or cheaper — see Config.Plan and DESIGN.md §6), normalises
 // (Normalize), and matched-filters (BoxcarDetect), emitting one spe.SPE
 // per detection. Work fans out concurrently on cfg.Exec via the rdd
 // worker pool — per trial DM on the brute path, per nominal DM on the
@@ -202,8 +197,7 @@ var subbandPool = sync.Pool{New: func() any { return &subbandBuffers{} }}
 // carries the matched boxcar width.
 //
 // Trials whose dispersion sweep exceeds the observation are skipped (a
-// short observation simply cannot constrain them); any other per-trial
-// failure aborts the search.
+// short observation simply cannot constrain them).
 func Search(ctx context.Context, fb *Filterbank, cfg Config) ([]spe.SPE, Stats, error) {
 	var stats Stats
 	if err := fb.Validate(); err != nil {
@@ -231,41 +225,32 @@ func Search(ctx context.Context, fb *Filterbank, cfg Config) ([]spe.SPE, Stats, 
 	}
 	stats.Plan = planDesc
 	sc := newStageClock()
-	// Under the blocked kernel (DESIGN.md §11) the filterbank is staged
-	// channel-major once — amortised over the whole trial grid — with the
-	// zero-DM filter fused into the staging tiles; only the scalar oracle
-	// reads a sample-major filtered copy.
-	var cm *chanMajor
-	if cfg.Plan.Kernel != KernelScalar {
-		cm = &chanMajor{}
-		if err := cm.stage(ctx, cfg.Exec, fb.Data, fb.NSamples, fb.NChans, cfg.ZeroDM, sc); err != nil {
-			return nil, stats, err
-		}
-	} else if cfg.ZeroDM {
-		t0 := time.Now()
-		fb = ZeroDMFilter(fb)
-		sc.add(StageZeroDM, time.Since(t0))
+	// The filterbank is staged channel-major once (DESIGN.md §11) —
+	// amortised over the whole trial grid — with the zero-DM filter fused
+	// into the staging tiles.
+	cm := &chanMajor{}
+	if err := cm.stage(ctx, cfg.Exec, fb.Data, fb.NSamples, fb.NChans, cfg.ZeroDM, sc); err != nil {
+		return nil, stats, err
 	}
-
-	perTrial := make([][]spe.SPE, len(cfg.DMs))
-	searched := make([]int64, len(cfg.DMs))
-	errs := make([]error, len(cfg.DMs))
+	bs := &batchSearch{
+		cfg: cfg, cm: cm, tabs: buildShiftTables(fb.Header, cfg.DMs, sub),
+		widths: widths, threshold: threshold, tsamp: fb.TsampSec, sc: sc,
+		perTrial: make([][]spe.SPE, len(cfg.DMs)),
+		searched: make([]int64, len(cfg.DMs)),
+	}
 	if sub != nil {
-		err = searchSubband(ctx, fb, cm, cfg, sub, widths, threshold, perTrial, searched, errs, sc)
+		err = bs.subband(ctx, sub)
 	} else {
-		err = searchBrute(ctx, fb, cm, cfg, widths, threshold, perTrial, searched, errs, sc)
+		err = bs.brute(ctx)
 	}
 	stats.StageSeconds = sc.seconds()
 	if err != nil {
 		return nil, stats, err
 	}
 	var out []spe.SPE
-	for i, events := range perTrial {
-		if errs[i] != nil {
-			return nil, stats, fmt.Errorf("sps: trial DM %g: %w", cfg.DMs[i], errs[i])
-		}
-		stats.Samples += searched[i]
-		if searched[i] > 0 {
+	for i, events := range bs.perTrial {
+		stats.Samples += bs.searched[i]
+		if bs.searched[i] > 0 {
 			stats.Trials++
 		}
 		out = append(out, events...)
@@ -322,116 +307,100 @@ func trialRange(cfg Config) (lo, hi int) {
 	return cfg.TrialLo, cfg.TrialHi
 }
 
-// searchBrute is the one-stage strategy: every trial DM in the configured
-// trial range dedisperses the full band independently, fanned out per
-// trial on the pool. A non-nil cm (the blocked kernel's channel-major
-// staging) replaces the sample-major walk, and grids narrower than the
-// pool then switch to a per-time-tile fan-out so the workers stay busy
-// even on a single trial.
-func searchBrute(ctx context.Context, fb *Filterbank, cm *chanMajor, cfg Config, widths []int, threshold float64,
-	perTrial [][]spe.SPE, searched []int64, errs []error, sc *stageClock) error {
-	lo, hi := trialRange(cfg)
-	if cm != nil && hi-lo < cfg.Exec.NumWorkers() {
-		return searchBruteTiled(ctx, fb, cm, cfg, lo, hi, widths, threshold, perTrial, searched, sc)
+// batchSearch is one batch search over the staged observation: its
+// read-only inputs and the per-trial output slots its tasks fill. Each trial
+// belongs to exactly one task, so every slot is written once and the
+// grid-order fold is deterministic for any worker count.
+type batchSearch struct {
+	cfg       Config
+	cm        *chanMajor
+	tabs      *shiftTables
+	widths    []int
+	threshold float64
+	tsamp     float64
+	sc        *stageClock
+	perTrial  [][]spe.SPE
+	searched  []int64
+}
+
+// detect runs trial i's dedispersed series through normalise and boxcar
+// into its output slot and returns the two kernels' busy times.
+func (b *batchSearch) detect(i int, series []float64, ks *kernelScratch) (norm, box time.Duration) {
+	t0 := time.Now()
+	ks.nsum, ks.nsq = normalizeInto(series, b.cfg.NormWindow, ks.nsum, ks.nsq)
+	t1 := time.Now()
+	ks.lad = ladderFor(ks.lad, b.widths)
+	b.searched[i] = int64(len(series))
+	b.perTrial[i] = trialEvents(b.cfg.DMs[i], b.tsamp, ks.lad.detect(series, b.threshold))
+	return t1.Sub(t0), time.Since(t1)
+}
+
+// brute is the one-stage strategy: every trial DM in the configured trial
+// range dedisperses the full band independently, fanned out per trial on
+// the pool. Grids narrower than the pool switch to a per-time-tile fan-out
+// (bruteTiled) so the workers stay busy even on a single trial.
+func (b *batchSearch) brute(ctx context.Context) error {
+	lo, hi := trialRange(b.cfg)
+	if hi-lo < b.cfg.Exec.NumWorkers() {
+		return b.bruteTiled(ctx, lo, hi)
 	}
-	return rdd.RunParallel(ctx, cfg.Exec, hi-lo, func(k int) {
+	return rdd.RunParallel(ctx, b.cfg.Exec, hi-lo, func(k int) {
 		i := lo + k
-		dm := cfg.DMs[i]
-		if MaxShift(fb.Header, dm) >= fb.NSamples {
+		n := b.cm.rows - b.tabs.sweeps[i]
+		if n < 1 {
 			return // sweep longer than the observation: unconstrainable trial
 		}
 		bufs := trialPool.Get().(*trialBuffers)
 		defer trialPool.Put(bufs)
 		t0 := time.Now()
-		bufs.shifts = ChannelShifts(fb.Header, dm, bufs.shifts[:0])
-		var series []float64
-		if cm != nil {
-			n := fb.NSamples - maxShiftOf(bufs.shifts)
-			if n < 1 {
-				return
-			}
-			series = cm.dedisperse(bufs.shifts, 0, n, bufs.series)
-		} else {
-			var err error
-			series, err = Dedisperse(fb, bufs.shifts, bufs.series)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-		}
-		bufs.series = series // keep the (possibly grown) buffer for reuse
-		t1 := time.Now()
-		bufs.nsum, bufs.nsq = normalizeInto(series, cfg.NormWindow, bufs.nsum, bufs.nsq)
-		t2 := time.Now()
-		bufs.lad = ladderFor(bufs.lad, widths)
-		searched[i] = int64(len(series))
-		perTrial[i] = trialEvents(dm, fb.TsampSec, bufs.lad.detect(series, threshold))
-		sc.add3(StageDedisperse, t1.Sub(t0), StageNormalise, t2.Sub(t1), StageBoxcar, time.Since(t2))
+		bufs.series = dedisperse(b.cm, b.tabs.trialCh[i], 0, b.cm.nchan, 0, n, bufs.series)
+		dd := time.Since(t0)
+		norm, box := b.detect(i, bufs.series, &bufs.kernelScratch)
+		b.sc.add3(StageDedisperse, dd, StageNormalise, norm, StageBoxcar, box)
 	})
 }
 
-// searchBruteTiled is the blocked brute path for trial grids narrower than
-// the worker pool: instead of idling workers on a per-trial fan-out, each
-// trial's accumulation fans out across its time tiles (tileRanges). Tiles
-// write disjoint output ranges and each output sample keeps the fixed
-// ascending-channel accumulation order, so the folded series — and every
-// downstream record — is bit-identical to the per-trial path for any
-// worker count.
-func searchBruteTiled(ctx context.Context, fb *Filterbank, cm *chanMajor, cfg Config, lo, hi int, widths []int, threshold float64,
-	perTrial [][]spe.SPE, searched []int64, sc *stageClock) error {
+// bruteTiled is the brute path for trial grids narrower than the worker
+// pool: each trial's accumulation fans out across its time tiles
+// (tileRanges). Tiles write disjoint output ranges and each output sample
+// keeps the fixed ascending-channel accumulation order, so the folded
+// series — and every downstream record — is bit-identical to the per-trial
+// path for any worker count.
+func (b *batchSearch) bruteTiled(ctx context.Context, lo, hi int) error {
 	bufs := trialPool.Get().(*trialBuffers)
 	defer trialPool.Put(bufs)
 	for i := lo; i < hi; i++ {
-		dm := cfg.DMs[i]
-		if MaxShift(fb.Header, dm) >= fb.NSamples {
+		n := b.cm.rows - b.tabs.sweeps[i]
+		if n < 1 {
 			continue // sweep longer than the observation: unconstrainable trial
 		}
 		t0 := time.Now()
-		bufs.shifts = ChannelShifts(fb.Header, dm, bufs.shifts[:0])
-		n := fb.NSamples - maxShiftOf(bufs.shifts)
-		if n < 1 {
-			continue
-		}
 		if cap(bufs.series) < n {
 			bufs.series = make([]float64, n)
 		}
 		series := bufs.series[:n]
-		for t := range series {
-			series[t] = 0
-		}
-		shifts := bufs.shifts
+		clear(series)
 		tiles := tileRanges(n)
-		if err := rdd.RunParallel(ctx, cfg.Exec, len(tiles), func(j int) {
-			cm.accumulate(shifts, 0, cm.nchan, 0, tiles[j][0], tiles[j][1], series)
+		if err := rdd.RunParallel(ctx, b.cfg.Exec, len(tiles), func(j int) {
+			accumulate(b.cm, b.tabs.trialCh[i], 0, b.cm.nchan, 0, tiles[j][0], tiles[j][1], series)
 		}); err != nil {
 			return err
 		}
-		bufs.series = series
-		t1 := time.Now()
-		bufs.nsum, bufs.nsq = normalizeInto(series, cfg.NormWindow, bufs.nsum, bufs.nsq)
-		t2 := time.Now()
-		bufs.lad = ladderFor(bufs.lad, widths)
-		searched[i] = int64(n)
-		perTrial[i] = trialEvents(dm, fb.TsampSec, bufs.lad.detect(series, threshold))
-		sc.add3(StageDedisperse, t1.Sub(t0), StageNormalise, t2.Sub(t1), StageBoxcar, time.Since(t2))
+		dd := time.Since(t0)
+		norm, box := b.detect(i, series, &bufs.kernelScratch)
+		b.sc.add3(StageDedisperse, dd, StageNormalise, norm, StageBoxcar, box)
 	}
 	return nil
 }
 
-// searchSubband is the two-stage strategy (DESIGN.md §6): fine trials
-// group by their assigned nominal DM, and the fan-out unit is one nominal
-// — stage 1 dedisperses the subbands once, then every assigned fine
-// trial combines, normalises and matched-filters in the same task. Each
-// fine trial belongs to exactly one nominal, so per-trial output slots
-// are written once and the grid-order fold stays deterministic for any
-// worker count, exactly as on the brute path. Per-trial failures land in
-// errs[i] exactly as on the brute path, so Search's fold reports them with
-// the trial DM attached.
-func searchSubband(ctx context.Context, fb *Filterbank, cm *chanMajor, cfg Config, plan *SubbandPlan, widths []int, threshold float64,
-	perTrial [][]spe.SPE, searched []int64, errs []error, sc *stageClock) error {
+// subband is the two-stage strategy (DESIGN.md §6): fine trials group by
+// their assigned nominal DM, and the fan-out unit is one nominal — stage 1
+// dedisperses the subbands once, then every assigned fine trial combines,
+// normalises and matched-filters in the same task.
+func (b *batchSearch) subband(ctx context.Context, plan *SubbandPlan) error {
 	groups := plan.nominalGroups()
-	lo, hi := trialRange(cfg)
-	if lo != 0 || hi != len(cfg.DMs) {
+	lo, hi := trialRange(b.cfg)
+	if lo != 0 || hi != len(b.cfg.DMs) {
 		// Restricted search: drop out-of-range fine trials from every
 		// nominal group. Stage 1 (and the group→nominal geometry) is built
 		// from the full grid, so the surviving trials' series are
@@ -446,7 +415,7 @@ func searchSubband(ctx context.Context, fb *Filterbank, cm *chanMajor, cfg Confi
 		}
 		groups = filtered
 	}
-	return rdd.RunParallel(ctx, cfg.Exec, len(groups), func(k int) {
+	return rdd.RunParallel(ctx, b.cfg.Exec, len(groups), func(k int) {
 		if len(groups[k]) == 0 {
 			return
 		}
@@ -457,18 +426,11 @@ func searchSubband(ctx context.Context, fb *Filterbank, cm *chanMajor, cfg Confi
 		// time is the group total minus the timed callback kernels.
 		var norm, box time.Duration
 		t0 := time.Now()
-		plan.dedisperseNominal(fb, cm, k, groups[k], bufs, func(i int, series []float64) error {
-			ts := time.Now()
-			bufs.nsum, bufs.nsq = normalizeInto(series, cfg.NormWindow, bufs.nsum, bufs.nsq)
-			tn := time.Now()
-			bufs.lad = ladderFor(bufs.lad, widths)
-			searched[i] = int64(len(series))
-			perTrial[i] = trialEvents(cfg.DMs[i], fb.TsampSec, bufs.lad.detect(series, threshold))
-			norm += tn.Sub(ts)
-			box += time.Since(tn)
-			return nil
-		}, errs)
-		sc.add3(StageDedisperse, time.Since(t0)-norm-box, StageNormalise, norm, StageBoxcar, box)
+		plan.dedisperseNominal(b.cm, b.tabs, k, groups[k], bufs, func(i int, series []float64) {
+			dn, db := b.detect(i, series, &bufs.kernelScratch)
+			norm, box = norm+dn, box+db
+		})
+		b.sc.add3(StageDedisperse, time.Since(t0)-norm-box, StageNormalise, norm, StageBoxcar, box)
 	})
 }
 

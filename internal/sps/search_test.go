@@ -3,6 +3,9 @@ package sps
 import (
 	"context"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"drapid/internal/spe"
@@ -208,6 +211,48 @@ func TestZeroDMFilterCancelsRFI(t *testing.T) {
 	}
 	if pulseFiltered < pulseRaw/2 {
 		t.Fatalf("zero-DM filter cost too much pulse: %d of %d events", pulseFiltered, pulseRaw)
+	}
+}
+
+// TestGenerateBounded pins the two bounds a tiny synth spec (a POST
+// /v1/detect body) must not get past: a data block over Read's value cap is
+// refused before anything is allocated, and a box wider than the
+// observation is clipped before it is walked, so a width of 10¹⁸ ms costs
+// what a whole-observation width does (and its pulse amplitude stays
+// finite).
+func TestGenerateBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Generate(SynthConfig{NChans: 1 << 14, NSamples: maxSamples>>14 + 1, FoffMHz: -0.01})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "data block exceeds") {
+		t.Fatalf("oversized synth block: err = %v, want the data-block bound", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("refused synth block still allocated %d bytes", alloc)
+	}
+
+	base := SynthConfig{NChans: 8, NSamples: 1024, Seed: 3}
+	obsMs := float64(base.NSamples) * base.Header().TsampSec * 1e3
+	gen := func(rfiWidthMs, pulseWidthMs float64) *Filterbank {
+		cfg := base
+		cfg.RFI = []RFIBurst{{TimeSec: 0.05, WidthMs: rfiWidthMs, Amp: 2}}
+		if pulseWidthMs > 0 {
+			cfg.Pulses = []InjectedPulse{{TimeSec: 0.1, DM: 10, WidthMs: pulseWidthMs, SNR: 10}}
+		}
+		fb, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fb
+	}
+	if huge, whole := gen(1e18, 0), gen(obsMs, 0); !reflect.DeepEqual(huge.Data, whole.Data) {
+		t.Fatal("a 1e18 ms RFI burst differs from one as wide as the observation")
+	}
+	for _, v := range gen(obsMs, 1e18).Data {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("a 1e18 ms pulse rendered %v", v)
+		}
 	}
 }
 

@@ -12,12 +12,13 @@
 // Dedispersion over the configurable trial-DM grid is the
 // throughput-critical hot path of real-time single-pulse search (Adámek &
 // Armour 2019 profile it at >90% of such pipelines' compute). Two
-// strategies are implemented, selected by Config.Plan (DESIGN.md §6): the
-// one-stage brute-force kernel (Dedisperse, the equivalence oracle), and
-// the default two-stage subband plan (SubbandPlan, after Adámek & Armour
-// 2020) that dedisperses channel groups once per coarse nominal DM and
-// assembles fine trials from the subband series, with the added smearing
-// held below half a sample by construction. Both fan out on the same
+// strategies are implemented, selected by Config.Plan (DESIGN.md §6):
+// one-stage brute force, and the default two-stage subband plan
+// (SubbandPlan, after Adámek & Armour 2020) that dedisperses channel
+// groups once per coarse nominal DM and assembles fine trials from the
+// subband series, with the added smearing held below half a sample by
+// construction. Both run on one cache-resident kernel over a channel-major
+// staging of the data (DESIGN.md §11) and fan out on the same
 // worker pool the distributed engine uses (rdd.RunParallel), with
 // per-task buffers reused through a sync.Pool so steady-state search
 // allocates nothing per trial.

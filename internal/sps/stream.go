@@ -380,130 +380,6 @@ func (ms *memSource) Next() (*Block, error) {
 	return &ms.cur, nil
 }
 
-// zeroDMState carries the zero-DM-filtered view of the gulp stream. Fresh
-// rows are filtered exactly once and carried between blocks alongside the
-// raw overlap — re-filtering an already-filtered row would subtract its
-// (tiny but non-zero) residual mean again and break bit-equivalence with
-// the batch ZeroDMFilter.
-type zeroDMState struct {
-	buf       []float32
-	prevStart int
-}
-
-// apply filters the block's fresh rows, split by row range over the pool:
-// rows are independent, so the output is byte-identical for any worker
-// count.
-func (zd *zeroDMState) apply(ctx context.Context, exec rdd.ExecConfig, blk *Block, nchan int) ([]float32, error) {
-	need := blk.Rows * nchan
-	if cap(zd.buf) < need {
-		grown := make([]float32, need)
-		copy(grown, zd.buf)
-		zd.buf = grown
-	}
-	buf := zd.buf[:need]
-	if blk.Fresh > 0 {
-		off := (blk.Start - zd.prevStart) * nchan
-		copy(buf[:blk.Fresh*nchan], zd.buf[off:off+blk.Fresh*nchan])
-	}
-	parts, rows := exec.NumWorkers(), blk.Rows-blk.Fresh
-	err := rdd.RunParallel(ctx, exec, parts, func(p int) {
-		for t := blk.Fresh + p*rows/parts; t < blk.Fresh+(p+1)*rows/parts; t++ {
-			row := blk.Data[t*nchan : (t+1)*nchan]
-			var sum float64
-			for _, v := range row {
-				sum += float64(v)
-			}
-			m := float32(sum / float64(nchan))
-			orow := buf[t*nchan : (t+1)*nchan]
-			for i, v := range row {
-				orow[i] = v - m
-			}
-		}
-	})
-	zd.prevStart = blk.Start
-	return buf, err
-}
-
-// streamShifts holds every shift table the block kernels reuse on each
-// gulp — all block-invariant, so they are derived once per search instead
-// of once per block: the overlap the stream must carry (the largest
-// per-trial lookahead), each trial's own sweep (the trailing samples its
-// output loses, fixing its final length at N − sweep exactly as the batch
-// kernels do), and the plan's channel/subband shift tables.
-type streamShifts struct {
-	overlap int
-	sweeps  []int
-	// trialCh is the brute path's per-trial channel shift table.
-	trialCh [][]int
-	// nomCh/nomIntra are the subband path's per-nominal stage-1 channel
-	// shifts and per-subband intra maxima; trialSub its per-trial stage-2
-	// subband shifts.
-	nomCh    [][]int
-	nomIntra [][]int
-	trialSub [][]int
-}
-
-// buildStreamShifts precomputes streamShifts for one search.
-func buildStreamShifts(hdr Header, dms []float64, plan *SubbandPlan) *streamShifts {
-	ss := &streamShifts{sweeps: make([]int, len(dms))}
-	if plan == nil {
-		ss.trialCh = make([][]int, len(dms))
-		for i, dm := range dms {
-			ss.trialCh[i] = ChannelShifts(hdr, dm, nil)
-			ss.sweeps[i] = MaxShift(hdr, dm)
-			if ss.sweeps[i] > ss.overlap {
-				ss.overlap = ss.sweeps[i]
-			}
-		}
-		return ss
-	}
-	ss.nomCh = make([][]int, len(plan.NominalDMs))
-	ss.nomIntra = make([][]int, len(plan.NominalDMs))
-	for k, nu := range plan.NominalDMs {
-		ss.nomCh[k] = make([]int, hdr.NChans)
-		ss.nomIntra[k] = make([]int, plan.NSub)
-		for s := 0; s < plan.NSub; s++ {
-			lo, hi := plan.subRange(s)
-			maxIntra := 0
-			for ch := lo; ch < hi; ch++ {
-				sh := int(math.Round(DelaySeconds(nu, hdr.FreqMHz(ch), plan.subRef[s]) / hdr.TsampSec))
-				ss.nomCh[k][ch] = sh
-				if sh > maxIntra {
-					maxIntra = sh
-				}
-			}
-			ss.nomIntra[k][s] = maxIntra
-		}
-	}
-	ss.trialSub = make([][]int, len(dms))
-	ftop := hdr.FTopMHz()
-	for i, dm := range dms {
-		intra := ss.nomIntra[plan.assign[i]]
-		ss.trialSub[i] = make([]int, plan.NSub)
-		worst := 0
-		for s := 0; s < plan.NSub; s++ {
-			sh := int(math.Round(DelaySeconds(dm, plan.subRef[s], ftop) / hdr.TsampSec))
-			ss.trialSub[i][s] = sh
-			if t := sh + intra[s]; t > worst {
-				worst = t
-			}
-		}
-		ss.sweeps[i] = worst
-		if worst > ss.overlap {
-			ss.overlap = worst
-		}
-	}
-	return ss
-}
-
-// requiredSweep reports the overlap a block stream of this search must
-// carry and the per-trial sweeps (buildStreamShifts carries the full
-// tables; this is the arithmetic the equivalence tests pin).
-func requiredSweep(hdr Header, dms []float64, plan *SubbandPlan) (overlap int, perTrial []int) {
-	ss := buildStreamShifts(hdr, dms, plan)
-	return ss.overlap, ss.sweeps
-}
-
 // blockSpan is the output region one block contributes to a trial losing
 // sweep trailing samples: exactly the block's fresh extent mid-stream,
 // clamped to the trial's final series length on the last block.
@@ -517,29 +393,6 @@ func blockSpan(blk *Block, block, sweep int) (int, int) {
 		hi = lo
 	}
 	return lo, hi
-}
-
-// dedisperseBlock is the brute kernel over one gulp: the trial's output
-// samples [outLo, outHi), summed channel-by-channel in the same order as
-// Dedisperse so the block path is bit-identical to the batch path. The
-// gulp's first row is absolute sample blkStart.
-func dedisperseBlock(data []float32, nchan int, shifts []int, blkStart, outLo, outHi int, out []float64) []float64 {
-	n := outHi - outLo
-	if cap(out) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
-	for t := range out {
-		out[t] = 0
-	}
-	for ch := 0; ch < nchan; ch++ {
-		base := (outLo+shifts[ch]-blkStart)*nchan + ch
-		for t := 0; t < n; t++ {
-			out[t] += float64(data[base])
-			base += nchan
-		}
-	}
-	return out
 }
 
 // emitReady drains every finalised event that can no longer be preceded by
@@ -600,8 +453,8 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 		return stats, err
 	}
 	stats.Plan = planDesc
-	shifts := buildStreamShifts(hdr, cfg.DMs, sub)
-	overlap := shifts.overlap
+	tabs := buildShiftTables(hdr, cfg.DMs, sub)
+	overlap := tabs.overlap
 	if cfg.BlockSamples < 1 {
 		return stats, fmt.Errorf("sps: streaming search needs BlockSamples >= 1, got %d", cfg.BlockSamples)
 	}
@@ -616,7 +469,7 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 	sc := newStageClock()
 	trials := make([]*streamState, len(cfg.DMs))
 	for i, dm := range cfg.DMs {
-		trials[i] = &streamState{dm: dm, sweep: shifts.sweeps[i], norm: newNormStream(window), box: newBoxStream(widths, threshold), clock: sc}
+		trials[i] = &streamState{dm: dm, sweep: tabs.sweeps[i], norm: newNormStream(window), box: newBoxStream(widths, threshold), clock: sc}
 	}
 	src, err := open(overlap)
 	if err != nil {
@@ -626,16 +479,11 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 	if sub != nil {
 		groups = sub.nominalGroups()
 	}
-	var zd zeroDMState
 	var batch []spe.SPE // emitReady's reused gather buffer
-	// Under the blocked kernel each gulp is staged channel-major once and
-	// shared read-only by every trial's (or nominal's) task — the staging
-	// cost amortises over the whole trial grid exactly as on the batch path.
-	var cm *chanMajor
-	if cfg.Plan.Kernel != KernelScalar {
-		cm = &chanMajor{}
-	}
-	nchan := hdr.NChans
+	// Each gulp is staged channel-major once and shared read-only by every
+	// trial's (or nominal's) task — the staging cost amortises over the
+	// whole trial grid exactly as on the batch path.
+	cm := &chanMajor{}
 	tsamp := hdr.TsampSec
 	for {
 		tRead := time.Now()
@@ -647,21 +495,12 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 		if err != nil {
 			return stats, err
 		}
-		data := blk.Data
-		if cfg.ZeroDM {
-			tz := time.Now()
-			data, err = zd.apply(ctx, cfg.Exec, blk, nchan)
-			sc.add(StageZeroDM, time.Since(tz))
-			if err != nil {
-				return stats, err
-			}
-		}
-		if cm != nil {
-			// The gulp's rows are already filtered (zd carries them between
-			// gulps), so the staging does not fuse the filter here.
-			if err := cm.stage(ctx, cfg.Exec, data, blk.Rows, nchan, false, sc); err != nil {
-				return stats, err
-			}
+		// The zero-DM filter fuses into the staging as on the batch path.
+		// Row means are per row, so the carried overlap rows — raw bytes
+		// again in this gulp — recompute bit-identically, and no row is
+		// ever filtered twice.
+		if err := cm.stage(ctx, cfg.Exec, blk.Data, blk.Rows, hdr.NChans, cfg.ZeroDM, sc); err != nil {
+			return stats, err
 		}
 		if sub != nil {
 			err = rdd.RunParallel(ctx, cfg.Exec, len(groups), func(k int) {
@@ -671,7 +510,7 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 				bufs := subbandPool.Get().(*subbandBuffers)
 				defer subbandPool.Put(bufs)
 				td := time.Now()
-				bufs.sub = sub.stage1Block(data, cm, blk.Rows, shifts.nomCh[k], shifts.nomIntra[k], bufs.sub)
+				bufs.sub = sub.stage1(cm, tabs.nomCh[k], tabs.nomIntra[k], bufs.sub)
 				var dd time.Duration = time.Since(td)
 				for _, i := range groups[k] {
 					st := trials[i]
@@ -680,7 +519,7 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 						continue
 					}
 					tc := time.Now()
-					bufs.combined = sub.combineBlock(bufs.sub, shifts.trialSub[i], blk.Start, outLo, outHi, bufs.combined)
+					bufs.combined = combine(bufs.sub, tabs.trialSub[i], blk.Start, outLo, outHi, bufs.combined)
 					dd += time.Since(tc)
 					st.feed(tsamp, bufs.combined, &bufs.kernelScratch)
 				}
@@ -696,11 +535,7 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 				bufs := trialPool.Get().(*trialBuffers)
 				defer trialPool.Put(bufs)
 				td := time.Now()
-				if cm != nil {
-					bufs.series = cm.dedisperse(shifts.trialCh[i], outLo-blk.Start, outHi-outLo, bufs.series)
-				} else {
-					bufs.series = dedisperseBlock(data, nchan, shifts.trialCh[i], blk.Start, outLo, outHi, bufs.series)
-				}
+				bufs.series = dedisperse(cm, tabs.trialCh[i], 0, cm.nchan, outLo-blk.Start, outHi-outLo, bufs.series)
 				sc.add(StageDedisperse, time.Since(td))
 				st.feed(tsamp, bufs.series, &bufs.kernelScratch)
 			})

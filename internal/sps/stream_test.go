@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -36,6 +38,13 @@ func streamFixture(t testing.TB) *Filterbank {
 		t.Fatal(err)
 	}
 	return fb
+}
+
+// requiredSweep reports the overlap a block stream of this search must
+// carry and the per-trial sweeps, from the search's shift tables.
+func requiredSweep(hdr Header, dms []float64, plan *SubbandPlan) (overlap int, perTrial []int) {
+	tabs := buildShiftTables(hdr, dms, plan)
+	return tabs.overlap, tabs.sweeps
 }
 
 // TestSearchStreamMatchesBatch is the equivalence gate of DESIGN.md §7:
@@ -520,5 +529,51 @@ func TestStreamStateSizeBounded(t *testing.T) {
 				t.Fatalf("block %d gulp %d: trial carries %d float64s — the count misses the normalisation tail", block, gulp, carried)
 			}
 		}
+	}
+}
+
+// TestSearchStreamZeroDMHoldsNoCopy pins the fused zero-DM filter on the
+// stream: filtering is folded into each gulp's channel-major staging, so
+// turning ZeroDM on must not cost a filtered copy of the gulp. The same
+// search runs with the filter on and off and the difference in bytes
+// allocated must stay under a quarter of one gulp's float32 block. GC is
+// off while measuring, so pooled scratch stays pooled, and each side takes
+// its best of three runs.
+func TestSearchStreamZeroDMHoldsNoCopy(t *testing.T) {
+	const nchans, block = 512, 4096
+	fb, err := Generate(SynthConfig{
+		NChans: nchans, NSamples: 3 * block, TsampSec: 256e-6, FoffMHz: -1, Seed: 47,
+		Pulses: []InjectedPulse{{TimeSec: 1.5, DM: 8, WidthMs: 2, SNR: 15}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dms, err := LinearDMs(0, 12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := func(zeroDM bool) uint64 {
+		cfg := Config{DMs: dms, NormWindow: 512, ZeroDM: zeroDM, BlockSamples: block,
+			Plan: DedispersePlan{Kind: PlanBrute}, Exec: rdd.ExecConfig{Workers: 1}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := SearchFilterbank(context.Background(), fb, cfg, func([]spe.SPE) error { return nil })
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	alloc(true) // warm the scratch pools
+	alloc(false)
+	on, off := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		on, off = min(on, alloc(true)), min(off, alloc(false))
+	}
+	gulp := uint64(4 * nchans * block)
+	if on > off && on-off >= gulp/4 {
+		t.Fatalf("ZeroDM allocates %d bytes more than without it (%.2f gulps of %d bytes): a filtered copy of the gulp",
+			on-off, float64(on-off)/float64(gulp), gulp)
 	}
 }

@@ -16,8 +16,8 @@ const (
 	PlanAuto PlanKind = ""
 	// PlanSubband forces the two-stage subband path (DESIGN.md §6).
 	PlanSubband PlanKind = "subband"
-	// PlanBrute forces the one-stage brute-force kernel (Dedisperse) — the
-	// equivalence oracle the subband path is tested against.
+	// PlanBrute forces one-stage brute-force dedispersion: every trial sums
+	// the full band at its own channel shifts.
 	PlanBrute PlanKind = "brute"
 )
 
@@ -47,12 +47,6 @@ type DedispersePlan struct {
 	// count minimising total arithmetic under the half-sample smearing
 	// ceiling (see PlanSubbands). Ignored by PlanBrute.
 	NSub int
-	// Kernel selects the dedispersion kernel implementation (DESIGN.md
-	// §11): KernelAuto/KernelBlocked run the cache-blocked kernel —
-	// channel-major staging plus tiled accumulation — and KernelScalar the
-	// original sample-major walk, kept as the bit-exact oracle. Both
-	// kernels apply to either plan Kind and produce identical output.
-	Kernel KernelKind
 }
 
 // SubbandPlan is one concrete two-stage subband dedispersion plan
@@ -262,9 +256,6 @@ func minSpacing(dms []float64) float64 {
 // search: a non-nil *SubbandPlan for the two-stage path, nil for brute
 // force, plus the human-readable description Stats carries.
 func resolveDedisperse(h Header, dms []float64, cfg DedispersePlan) (*SubbandPlan, string, error) {
-	if err := validKernel(cfg.Kernel); err != nil {
-		return nil, "", err
-	}
 	switch cfg.Kind {
 	case PlanBrute:
 		return nil, string(PlanBrute), nil
@@ -281,111 +272,29 @@ func resolveDedisperse(h Header, dms []float64, cfg DedispersePlan) (*SubbandPla
 	return nil, "", fmt.Errorf("sps: unknown dedispersion plan kind %q", cfg.Kind)
 }
 
-// stage1 dedisperses every subband at nominal DM index k: within subband
-// s, channels shift relative to the subband's own reference frequency
-// (subRef[s]) and sum into dst[s], a float32 series of NSamples −
-// maxIntraShift(s) samples (the tail a subband channel would read past
-// the end is dropped, exactly as Dedisperse drops the full-band tail).
-// shifts is reused scratch of NChans ints. A non-nil cm (the search's
-// channel-major staging of fb.Data) switches the accumulation to the
-// blocked kernel — same per-sample channel order, so the float32 sums are
-// bit-identical. The rare observation shorter than a nominal's own
-// intra-subband sweep returns ok == false — every fine trial of that
-// nominal is unconstrainable.
-func (p *SubbandPlan) stage1(fb *Filterbank, cm *chanMajor, k int, dst [][]float32, shifts []int) ([][]float32, bool) {
-	nu := p.NominalDMs[k]
-	nchan := fb.NChans
+// stage1 dedisperses every subband at one nominal DM over the staged block
+// cm: within subband s, channels shift by the nominal's stage-1 table
+// (shifts, relative to the subband's own reference frequency subRef[s]) and
+// sum into dst[s], a float32 series of the block's rows [0, cm.rows −
+// intra[s]) — the tail a subband channel would read past the end is
+// dropped, exactly as full-band dedispersion drops its tail. shifts and
+// intra are the search's per-nominal tables (shiftTables), so stage 1 over
+// a gulp and over the whole observation is the same code. A block shorter
+// than a subband's own sweep leaves that series empty; every fine trial of
+// the nominal then has a sweep longer than the block too, and is skipped.
+func (p *SubbandPlan) stage1(cm *chanMajor, shifts, intra []int, dst [][]float32) [][]float32 {
 	if cap(dst) < p.NSub {
 		dst = make([][]float32, p.NSub)
 	}
 	dst = dst[:p.NSub]
-	for s := 0; s < p.NSub; s++ {
+	for s := range dst {
 		lo, hi := p.subRange(s)
-		maxIntra := 0
-		for ch := lo; ch < hi; ch++ {
-			sh := int(math.Round(DelaySeconds(nu, fb.FreqMHz(ch), p.subRef[s]) / fb.TsampSec))
-			shifts[ch] = sh
-			if sh > maxIntra {
-				maxIntra = sh
-			}
-		}
-		n := fb.NSamples - maxIntra
-		if n < 1 {
-			return dst, false
-		}
-		if cm != nil {
-			dst[s] = cm.dedisperseF32(shifts, lo, hi, 0, n, dst[s])
-			continue
-		}
-		series := dst[s]
-		if cap(series) < n {
-			series = make([]float32, n)
-		}
-		series = series[:n]
-		for t := range series {
-			series[t] = 0
-		}
-		for ch := lo; ch < hi; ch++ {
-			// Same access pattern as the brute kernel: each channel's
-			// shifted reads stream linearly through memory with stride
-			// nchan.
-			base := shifts[ch]*nchan + ch
-			for t := 0; t < n; t++ {
-				series[t] += fb.Data[base]
-				base += nchan
-			}
-		}
-		dst[s] = series
-	}
-	return dst, true
-}
-
-// stage1Block is stage1 over one gulp: within subband s, the series covers
-// block-relative rows [0, blkRows − intra[s]), which are the absolute
-// output samples [blk.Start, blk.Start+blkRows−intra[s]). shifts and
-// intra are the nominal's precomputed channel-shift table and per-subband
-// maxima (streamShifts) — block-invariant, so they are derived once per
-// search, not per gulp. A non-nil cm (the gulp's channel-major staging)
-// switches to the blocked kernel. The channel accumulation order matches
-// stage1 exactly, so for any block size and either kernel the float32
-// sums are bit-identical to the whole-observation pass.
-func (p *SubbandPlan) stage1Block(data []float32, cm *chanMajor, blkRows int, shifts, intra []int, dst [][]float32) [][]float32 {
-	nchan := p.hdr.NChans
-	if cap(dst) < p.NSub {
-		dst = make([][]float32, p.NSub)
-	}
-	dst = dst[:p.NSub]
-	for s := 0; s < p.NSub; s++ {
-		lo, hi := p.subRange(s)
-		n := blkRows - intra[s]
-		if n < 0 {
-			n = 0
-		}
-		if cm != nil {
-			dst[s] = cm.dedisperseF32(shifts, lo, hi, 0, n, dst[s])
-			continue
-		}
-		series := dst[s]
-		if cap(series) < n {
-			series = make([]float32, n)
-		}
-		series = series[:n]
-		for t := range series {
-			series[t] = 0
-		}
-		for ch := lo; ch < hi; ch++ {
-			base := shifts[ch]*nchan + ch
-			for t := 0; t < n; t++ {
-				series[t] += data[base]
-				base += nchan
-			}
-		}
-		dst[s] = series
+		dst[s] = dedisperse(cm, shifts, lo, hi, 0, max(cm.rows-intra[s], 0), dst[s])
 	}
 	return dst
 }
 
-// sumSubbands is stage 2's summation, shared by combine and combineBlock:
+// sumSubbands is stage 2's summation, the body of combine:
 // out[t] = Σ_s series[s][off + subShifts[s] + t] over the whole of out, in
 // ascending subband order per sample. out is walked in tileSamples tiles,
 // each zeroed and then passed by four subband series per pass, so the tile
@@ -412,11 +321,12 @@ func sumSubbands(series [][]float32, subShifts []int, off int, out []float64) {
 	}
 }
 
-// combineBlock assembles one fine trial's output samples [outLo, outHi)
-// from one gulp's stage-1 series (whose row 0 is absolute sample
-// blkStart), using the trial's precomputed stage-2 shift table and
-// combine's exact subband summation order.
-func (p *SubbandPlan) combineBlock(series [][]float32, subShifts []int, blkStart, outLo, outHi int, out []float64) []float64 {
+// combine assembles one fine trial's output samples [outLo, outHi) from a
+// block's stage-1 series (whose row 0 is absolute sample blkStart): each
+// subband shifts by the trial's stage-2 table subShifts — its reference
+// frequency's delay at the *fine* DM, relative to the global top frequency
+// — and the series sum into out, reused when its capacity suffices.
+func combine(series [][]float32, subShifts []int, blkStart, outLo, outHi int, out []float64) []float64 {
 	n := outHi - outLo
 	if cap(out) < n {
 		out = make([]float64, n)
@@ -437,61 +347,20 @@ func (p *SubbandPlan) nominalGroups() [][]int {
 	return groups
 }
 
-// dedisperseNominal is one nominal task's dedispersion work, shared by
-// the search path and the benchmark so they cannot drift apart: stage 1
-// once for nominal index k, then stage 2 for each fine trial in trials,
-// calling each(i, series) per successfully combined trial. Unconstrainable
-// trials (and nominals whose own intra-subband sweep exceeds the
-// observation) are skipped, mirroring the brute path's skip; an error from
-// each is recorded in errs[i] (when errs is non-nil), giving the subband
-// path the same per-trial error reporting as the brute one.
-func (p *SubbandPlan) dedisperseNominal(fb *Filterbank, cm *chanMajor, k int, trials []int, bufs *subbandBuffers, each func(i int, series []float64) error, errs []error) {
-	if cap(bufs.shifts) < fb.NChans {
-		bufs.shifts = make([]int, fb.NChans)
-	}
-	if cap(bufs.subShifts) < p.NSub {
-		bufs.subShifts = make([]int, p.NSub)
-	}
-	sub, ok := p.stage1(fb, cm, k, bufs.sub, bufs.shifts[:fb.NChans])
-	bufs.sub = sub
-	if !ok {
-		return
-	}
+// dedisperseNominal is one nominal task's dedispersion of the staged
+// observation cm, shared by the batch search and the benchmark so they
+// cannot drift apart: stage 1 once for nominal index k, then stage 2 for
+// each fine trial in trials, calling each(i, series) per combined trial.
+// Trials whose sweep exceeds the observation are skipped, as on the brute
+// path.
+func (p *SubbandPlan) dedisperseNominal(cm *chanMajor, tabs *shiftTables, k int, trials []int, bufs *subbandBuffers, each func(i int, series []float64)) {
+	bufs.sub = p.stage1(cm, tabs.nomCh[k], tabs.nomIntra[k], bufs.sub)
 	for _, i := range trials {
-		series, ok := p.combine(sub, i, bufs.combined, bufs.subShifts[:p.NSub])
-		bufs.combined = series
-		if !ok {
-			continue
+		n := cm.rows - tabs.sweeps[i]
+		if n < 1 {
+			continue // sweep longer than the observation: unconstrainable trial
 		}
-		if err := each(i, series); err != nil && errs != nil {
-			errs[i] = err
-		}
+		bufs.combined = combine(bufs.sub, tabs.trialSub[i], 0, 0, n, bufs.combined)
+		each(i, bufs.combined)
 	}
-}
-
-// combine assembles fine trial i from its nominal's stage-1 subband
-// series: each subband shifts by its reference frequency's delay at the
-// *fine* DM (relative to the global top frequency) and the series sum
-// into out. subShifts is reused scratch of NSub ints. ok == false means
-// the trial's sweep exceeds the observation (the skip Search applies to
-// unconstrainable brute trials too).
-func (p *SubbandPlan) combine(series [][]float32, i int, out []float64, subShifts []int) ([]float64, bool) {
-	dm := p.dms[i]
-	ftop := p.hdr.FTopMHz()
-	n := math.MaxInt
-	for s := 0; s < p.NSub; s++ {
-		subShifts[s] = int(math.Round(DelaySeconds(dm, p.subRef[s], ftop) / p.hdr.TsampSec))
-		if m := len(series[s]) - subShifts[s]; m < n {
-			n = m
-		}
-	}
-	if n < 1 {
-		return out, false
-	}
-	if cap(out) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
-	sumSubbands(series, subShifts, 0, out)
-	return out, true
 }

@@ -167,6 +167,9 @@ func Generate(cfg SynthConfig) (*Filterbank, error) {
 	if hdr.NSamples == 0 {
 		return nil, fmt.Errorf("sps: synthetic observation needs nsamples > 0")
 	}
+	if hdr.NSamples*hdr.NChans > maxSamples {
+		return nil, fmt.Errorf("sps: %d×%d data block exceeds %d values", hdr.NSamples, hdr.NChans, maxSamples)
+	}
 	tobs := hdr.DurationSec()
 	pulses := append([]InjectedPulse(nil), cfg.Pulses...)
 	for i, tr := range cfg.Trains {
@@ -195,7 +198,7 @@ func Generate(cfg SynthConfig) (*Filterbank, error) {
 	ref := hdr.FTopMHz()
 	for _, p := range pulses {
 		w := p.WidthSamples(hdr.TsampSec)
-		amp := float32(p.SNR * sigma / math.Sqrt(float64(hdr.NChans*w)))
+		amp := float32(p.SNR * sigma / math.Sqrt(float64(hdr.NChans)*float64(w)))
 		for ch := 0; ch < hdr.NChans; ch++ {
 			at := p.TimeSec + DelaySeconds(p.DM, hdr.FreqMHz(ch), ref)
 			start := int(math.Round(at / hdr.TsampSec))
@@ -217,12 +220,18 @@ func Generate(cfg SynthConfig) (*Filterbank, error) {
 }
 
 // addBox adds a top-hat of the given amplitude to one channel, clipped to
-// the observation.
+// the observation: only the samples [max(start, 0), min(start+width,
+// NSamples)) are visited, however wide the box.
 func addBox(fb *Filterbank, ch, start, width int, amp float32) {
-	for t := start; t < start+width; t++ {
-		if t < 0 || t >= fb.NSamples {
-			continue
-		}
+	if start < 0 {
+		width += start // drop the part of the box before the observation
+		start = 0
+	}
+	end := fb.NSamples
+	if width < end-start {
+		end = start + width
+	}
+	for t := start; t < end; t++ {
 		fb.Data[t*fb.NChans+ch] += amp
 	}
 }

@@ -3,6 +3,7 @@ package drapid
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 
 	"drapid/internal/obs"
 	"drapid/internal/sps"
@@ -61,18 +62,14 @@ func WithLogger(l *slog.Logger) Option {
 // server can mount it (obs.Handler) and tests can assert on series.
 func (e *Engine) MetricsRegistry() *MetricsRegistry { return e.metrics }
 
-// detectStageKernels are the concurrent frontend stages whose busy
-// seconds are apportioned onto the fan-out wall: they run interleaved
-// across worker goroutines, so their summed task time exceeds elapsed
-// time and only their *shares* of the measured wall are comparable.
-var detectStageKernels = []string{sps.StageDedisperse, sps.StageNormalise, sps.StageBoxcar}
-
-// detectStageKernelsZeroDM adds zerodm to the apportioned set, for the
-// event sources where it is concurrent busy time as well: the batch search
-// fuses the filter into its parallel staging tiles, and from the
-// coordinator's clock every shard-side stage of a fleet job is concurrent.
-// Only the block stream filters each gulp as a sequential wall.
-var detectStageKernelsZeroDM = append([]string{sps.StageZeroDM}, detectStageKernels...)
+// apportionedStages are the concurrent frontend stages whose busy seconds
+// are apportioned onto the fan-out wall: they run interleaved across
+// worker goroutines, so their summed task time exceeds elapsed time and
+// only their *shares* of the measured wall are comparable. zerodm is one
+// of them on every path: both search drivers fuse the filter into their
+// parallel staging tiles, and from the coordinator's clock every
+// shard-side stage of a fleet job is concurrent.
+var apportionedStages = []string{sps.StageZeroDM, sps.StageDedisperse, sps.StageNormalise, sps.StageBoxcar}
 
 // applyDetectStages folds the frontend's per-stage seconds into the job
 // trace and rescales the kernel stages onto whatever part of totalSecs
@@ -83,7 +80,7 @@ var detectStageKernelsZeroDM = append([]string{sps.StageZeroDM}, detectStageKern
 // their volumes from the search's own counters: one call per dedispersed
 // trial, records in dedispersed-series samples (boxcar's output is the
 // events it emitted), bytes the float64 series each kernel streamed.
-func applyDetectStages(tr *obs.Trace, stats sps.Stats, totalSecs float64, kernels []string) {
+func applyDetectStages(tr *obs.Trace, stats sps.Stats, totalSecs float64) {
 	if tr == nil {
 		return
 	}
@@ -95,15 +92,11 @@ func applyDetectStages(tr *obs.Trace, stats sps.Stats, totalSecs float64, kernel
 	tr.Add(sps.StageNormalise, series)
 	series.RecordsOut = int64(stats.Events)
 	tr.Add(sps.StageBoxcar, series)
-	isKernel := make(map[string]bool, len(kernels))
-	for _, k := range kernels {
-		isKernel[k] = true
-	}
 	var seq float64
 	for name, st := range tr.Snapshot() {
-		if !isKernel[name] {
+		if !slices.Contains(apportionedStages, name) {
 			seq += st.WallSeconds
 		}
 	}
-	tr.Apportion(totalSecs-seq, kernels...)
+	tr.Apportion(totalSecs-seq, apportionedStages...)
 }
