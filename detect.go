@@ -88,8 +88,8 @@ func GenerateFilterbank(spec SynthSpec) ([]byte, error) {
 // (internal/sps) dedisperses the data over the trial-DM grid on the
 // engine's shared worker pool, matched-filters every trial, clusters the
 // detections with the stage-2 DBSCAN, and identifies every cluster with the
-// per-key search an IdentifyJob's distributed pipeline runs
-// (pipeline.ProcessKeyGroup) — called in memory, without the simulated
+// per-cluster search an IdentifyJob's distributed pipeline runs
+// (pipeline.Searcher) — on typed events, in memory, without the simulated
 // HDFS and Spark layer — so Results() streams the same Candidate records,
 // ready for Classifier.Predict.
 type DetectJob struct {
@@ -107,11 +107,13 @@ type DetectJob struct {
 	// BlockSamples takes DefaultBlockSamples.
 	FilterbankStream io.Reader
 	// Key identifies the observation in downstream records, in the
-	// canonical "dataset:mjd:ra:dec:beam" form; empty derives one from
-	// the filterbank header (source name and start MJD).
+	// canonical "dataset:mjd:ra:dec:beam" form, with a dataset of letters,
+	// digits and +-._ only; empty derives one from the filterbank header
+	// (source name and start MJD).
 	Key string
 	// DMMin, DMMax and DMStep define the trial dispersion-measure grid in
-	// pc cm⁻³. All-zero takes the default grid (0 to 300, step 1).
+	// pc cm⁻³, of at most 2²⁰ trials. All-zero takes the default grid (0
+	// to 300, step 1).
 	DMMin, DMMax, DMStep float64
 	// Widths is the boxcar matched-filter ladder in samples; empty takes
 	// the octave ladder 1…64.
@@ -207,6 +209,9 @@ func (spec DetectJob) validate() (lo, hi, step float64, kind sps.PlanKind, err e
 	if lo < 0 || hi <= lo {
 		return fail(fmt.Errorf("drapid: bad DM range [%g, %g]", lo, hi))
 	}
+	if n := gridTrials(lo, hi, step); !(n <= sps.MaxTrials) {
+		return fail(fmt.Errorf("drapid: DM grid [%g, %g] step %g has %g trials, more than %d", lo, hi, step, n, sps.MaxTrials))
+	}
 	if spec.Threshold < 0 {
 		return fail(fmt.Errorf("drapid: threshold %g must be >= 0", spec.Threshold))
 	}
@@ -214,8 +219,12 @@ func (spec DetectJob) validate() (lo, hi, step float64, kind sps.PlanKind, err e
 		return fail(fmt.Errorf("drapid: ResultBuffer must be >= 0, got %d", spec.ResultBuffer))
 	}
 	if spec.Key != "" {
-		if _, err := spe.ParseKey(spec.Key); err != nil {
+		k, err := spe.ParseKey(spec.Key)
+		if err != nil {
 			return fail(fmt.Errorf("drapid: bad observation key %q (want dataset:mjd:ra:dec:beam)", spec.Key))
+		}
+		if strings.IndexFunc(k.Dataset, func(r rune) bool { return !keyRune(r) }) >= 0 {
+			return fail(fmt.Errorf("drapid: observation key %q: dataset %q may hold only letters, digits and +-._", spec.Key, k.Dataset))
 		}
 	}
 	if spec.Shards < 0 {
@@ -314,8 +323,12 @@ func (e *Engine) submitDetect(ctx context.Context, spec DetectJob, forceID strin
 // floor'd trial count keeps a step that does not divide the range from
 // overshooting the caller's DMMax.
 func detectGrid(lo, hi, step float64) (*dmgrid.Grid, error) {
-	n := math.Floor((hi-lo)/step+1e-9) + 1
-	return dmgrid.New([]dmgrid.Stage{{Lo: lo, Hi: lo + n*step, Step: step}})
+	return dmgrid.New([]dmgrid.Stage{{Lo: lo, Hi: lo + gridTrials(lo, hi, step)*step, Step: step}})
+}
+
+// gridTrials counts the trials lo, lo+step, … that do not exceed hi.
+func gridTrials(lo, hi, step float64) float64 {
+	return math.Floor((hi-lo)/step+1e-9) + 1
 }
 
 // eventSource is where a detect job's events come from, plus what the one
@@ -349,8 +362,11 @@ func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.
 		}
 		seg := &segmenter{
 			j: j, grid: grid, key: key,
-			params: detectSearchParams(grid),
-			feat:   detectFeatures(grid, src.hdr),
+			search: pipeline.Searcher{
+				Key:    key.String(),
+				Params: detectSearchParams(grid),
+				Feat:   detectFeatures(grid, src.hdr),
+			},
 			single: src.single,
 		}
 		stats, err := src.run(seg.onEvents)
@@ -452,21 +468,20 @@ const (
 )
 
 // segmenter accumulates the source's events, cuts them into
-// clustering-independent segments, and runs each segment through Prepare
-// and in-memory identification, aggregating the per-segment results.
+// clustering-independent segments, and clusters and identifies each one
+// in memory, aggregating the per-segment results.
 type segmenter struct {
 	j      *Job
 	grid   *dmgrid.Grid
 	key    spe.Key
-	feat   features.Config
-	params core.Params
+	search pipeline.Searcher
 
 	// single defers the one and only flush to finish: the whole event set
-	// goes through a single Prepare, so cross-cluster features computed
-	// over "all clusters of the observation" (ClusterRank) are
-	// observation-global. The batch search and the fleet's DM-sharded
-	// barrier merge use this — each delivers every event at once, so
-	// incremental flushing buys nothing and would re-rank per segment.
+	// is clustered at once, so cross-cluster features computed over "all
+	// clusters of the observation" (ClusterRank) are observation-global.
+	// The batch search and the fleet's DM-sharded barrier merge use this —
+	// each delivers every event at once, so incremental flushing buys
+	// nothing and would re-rank per segment.
 	single bool
 
 	pending []spe.SPE
@@ -517,9 +532,8 @@ func (s *segmenter) finish() error {
 }
 
 // flush clusters and identifies pending[:n] as one segment, in memory:
-// pipeline.Identify runs the per-key search over the lines Prepare formats,
-// so the features see the same wire rounding an IdentifyJob's do. Records
-// and drops accumulate across segments.
+// the typed search rounds the events as an IdentifyJob's CSV records do,
+// so the records are the ones that path emits for the same events.
 func (s *segmenter) flush(n int) error {
 	if n == 0 && s.seg > 0 {
 		return nil
@@ -528,20 +542,20 @@ func (s *segmenter) flush(n int) error {
 		return context.Cause(s.j.ctx)
 	}
 	s.seg++
+	events := s.pending[:n]
 	cluster := s.j.trace.Span("cluster")
-	obs := []spe.Observation{{Key: s.key, Events: s.pending[:n]}}
-	prep := pipeline.Prepare(obs, s.grid, dbscan.DefaultParams())
-	cluster.SetRecords(int64(n), int64(prep.NumClusters()))
+	res := dbscan.Cluster(events, s.grid, s.key, dbscan.DefaultParams())
+	cluster.SetRecords(int64(n), int64(len(res.Clusters)))
 	cluster.End()
 	base := s.clusters
-	s.clusters += prep.NumClusters()
+	s.clusters += len(res.Clusters)
 	if s.j.sift != nil {
 		sift := s.j.trace.Span("sift")
-		s.j.addSiftGroups(siftGroups(obs, prep, base, s.j.sift.params))
+		s.j.addSiftGroups(siftGroups(s.key, events, res, base, s.j.sift.params))
 		sift.End()
 	}
 	classify := s.j.trace.Span("classify")
-	recs, dropped := pipeline.Identify(prep, s.params, s.feat)
+	recs := s.search.SearchEvents(nil, events, res.Clusters)
 	// Candidates carry batch-identical cluster ids: shift the segment-local
 	// ids by the earlier segments' cluster count.
 	for i := range recs {
@@ -552,7 +566,6 @@ func (s *segmenter) flush(n int) error {
 	classify.End()
 	s.pending = append(s.pending[:0], s.pending[n:]...)
 	s.total.Records += len(recs)
-	s.total.RecordsDropped += dropped
 	return nil
 }
 
@@ -583,21 +596,27 @@ func detectFeatures(grid *dmgrid.Grid, hdr sps.Header) features.Config {
 	}
 }
 
+// keyRune reports whether r belongs to the dataset alphabet of an
+// observation key: the runes that keep a key one CSV field and one
+// colon-joined component, so a key means the same to the typed search as
+// to the CSV records an IdentifyJob reads.
+func keyRune(r rune) bool {
+	return r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' ||
+		r == '+' || r == '-' || r == '.' || r == '_'
+}
+
 // observationKey resolves the job's observation key: the caller's, or one
 // derived from the filterbank header. Source names are sanitised into the
-// CSV/colon-joined key alphabet.
+// key alphabet (keyRune), which validate holds explicit keys to.
 func observationKey(explicit string, hdr sps.Header) (spe.Key, error) {
 	if explicit != "" {
 		return spe.ParseKey(explicit)
 	}
 	name := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '+', r == '-', r == '.', r == '_':
+		if keyRune(r) {
 			return r
-		default:
-			return '_'
 		}
+		return '_'
 	}, hdr.SourceName)
 	if name == "" {
 		name = "DETECT"

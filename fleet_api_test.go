@@ -2,7 +2,9 @@ package drapid_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -138,11 +140,14 @@ func flakyWorkerServer(t *testing.T) *httptest.Server {
 	var shardCalls atomic.Int64
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && shardCalls.Add(1) == 1 {
-			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Header().Set("Content-Type", fleet.MediaFrames)
 			w.WriteHeader(http.StatusOK)
-			// A partial (bogus) event batch, then a dead connection: the
-			// coordinator must discard the partials and resubmit.
-			w.Write([]byte(`{"events":[{"dm":12345,"snr":99,"time":0.001,"sample":4,"downfact":1}]}` + "\n"))
+			// A (bogus) one-event frame at DM 12345, then a dead connection
+			// before the terminator: the coordinator must discard the
+			// partials and resubmit.
+			frame := binary.LittleEndian.AppendUint32([]byte{'E'}, 36)
+			frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(12345))
+			w.Write(append(frame, make([]byte, 28)...))
 			panic(http.ErrAbortHandler)
 		}
 		real.ServeHTTP(w, r)

@@ -185,44 +185,13 @@ func remoteSent(remotes []*Remote) int64 {
 }
 
 // BenchmarkFleetWire measures coordinator→worker bytes for the 4-shard
-// DM job under the three protocol shapes — v1 JSON-inline, v2 cold
-// (blob upload + lean specs), v2 warm (cache hit, lean specs only) —
-// and records each as a wire_bytes series benchguard tracks. The
-// before/after ISSUE 10 comparison lives in these three entries.
+// DM job under the two cache states — cold (blob upload + lean specs)
+// and warm (cache hit, lean specs only) — and records each as a
+// wire_bytes series benchguard tracks.
 func BenchmarkFleetWire(b *testing.B) {
 	raw, dms, _ := benchFixture(b)
 	shards := wireFixtureShards(b, raw, dms)
 	const nWorkers = 2
-
-	// proto=json: the v1 data plane — every shard ships the observation
-	// inline, base64-inflated, to whichever worker runs it.
-	b.Run("proto=json", func(b *testing.B) {
-		servers := make([]*httptest.Server, nWorkers)
-		for i := range servers {
-			servers[i] = httptest.NewServer(legacyHandler(testExec()))
-			defer servers[i].Close()
-		}
-		s := &benchjson.Sample{}
-		var wire int64
-		op := func() {
-			reg := obs.NewRegistry()
-			remotes := make([]*Remote, nWorkers)
-			for i, ts := range servers {
-				remotes[i] = NewRemote(fmt.Sprintf("w%d", i), ts.URL, nil, WithWireMetrics(reg))
-			}
-			dispatchAll(b, shards, remotes)
-			wire = remoteSent(remotes)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Time(op)
-		}
-		b.StopTimer()
-		s.EnsureN(3, op)
-		e := s.Entry("BenchmarkFleetWire/proto=json", 0, nWorkers)
-		e.WireBytes = wire
-		benchOut.Record(e)
-	})
 
 	// proto=v2: cold caches — each worker receives the blob once, raw,
 	// plus four lean specs. Fresh servers and remotes per iteration keep
@@ -396,10 +365,11 @@ func BenchmarkFleetCodec(b *testing.B) {
 	})
 }
 
-// TestWireBytesReduction asserts the tentpole's acceptance numbers
+// TestWireBytesReduction asserts the data plane's wire economics
 // directly, independent of the benchmark artifact: for the 4-shard DM
-// job, v2 cold cuts coordinator→worker bytes ≥60% against JSON-inline,
-// and a warm repeat submission cuts ≥95%.
+// job, cold caches cut coordinator→worker bytes ≥60% against the
+// shards × observation bytes any protocol shipping the observation inline
+// must send, and a warm repeat submission cuts ≥95%.
 func TestWireBytesReduction(t *testing.T) {
 	_, raw := testObservation(t)
 	dms := testGrid()
@@ -408,30 +378,23 @@ func TestWireBytesReduction(t *testing.T) {
 	if len(shards) != 4 {
 		t.Fatalf("planned %d shards, want 4", len(shards))
 	}
+	inline := int64(len(shards)) * int64(len(raw))
 
-	v1 := httptest.NewServer(legacyHandler(testExec()))
-	defer v1.Close()
-	regJSON := obs.NewRegistry()
-	rJSON := NewRemote("w0", v1.URL, nil, WithWireMetrics(regJSON))
-	dispatchAll(t, shards, []*Remote{rJSON})
-	sentJSON := remoteSent([]*Remote{rJSON})
+	ts := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
+	defer ts.Close()
+	remote := NewRemote("w0", ts.URL, nil, WithWireMetrics(obs.NewRegistry()))
+	dispatchAll(t, shards, []*Remote{remote})
+	sentCold := remoteSent([]*Remote{remote})
+	dispatchAll(t, shards, []*Remote{remote})
+	sentCached := remoteSent([]*Remote{remote}) - sentCold
 
-	v2 := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
-	defer v2.Close()
-	regV2 := obs.NewRegistry()
-	rV2 := NewRemote("w0", v2.URL, nil, WithWireMetrics(regV2))
-	dispatchAll(t, shards, []*Remote{rV2})
-	sentCold := remoteSent([]*Remote{rV2})
-	dispatchAll(t, shards, []*Remote{rV2})
-	sentCached := remoteSent([]*Remote{rV2}) - sentCold
-
-	t.Logf("wire bytes, 4-shard DM job over %d-byte observation: json=%d cold=%d cached=%d",
-		len(raw), sentJSON, sentCold, sentCached)
-	if sentCold > sentJSON*2/5 {
-		t.Errorf("v2 cold = %d bytes, want >= 60%% below json's %d", sentCold, sentJSON)
+	t.Logf("wire bytes, 4-shard DM job over %d-byte observation: inline=%d cold=%d cached=%d",
+		len(raw), inline, sentCold, sentCached)
+	if sentCold > inline*2/5 {
+		t.Errorf("cold = %d bytes, want >= 60%% below inline's %d", sentCold, inline)
 	}
-	if sentCached > sentJSON/20 {
-		t.Errorf("v2 cached = %d bytes, want >= 95%% below json's %d", sentCached, sentJSON)
+	if sentCached > inline/20 {
+		t.Errorf("cached = %d bytes, want >= 95%% below inline's %d", sentCached, inline)
 	}
 }
 

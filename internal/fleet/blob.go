@@ -10,7 +10,7 @@ import (
 	"drapid/internal/obs"
 )
 
-// This file is the content-addressing half of the v2 data plane
+// This file is the content-addressing half of the fleet data plane
 // (DESIGN.md §12): observations ship as blobs named by their SHA-256, so
 // the coordinator uploads each distinct observation to each worker at
 // most once per cache lifetime — DM shards share one blob, resubmission

@@ -31,17 +31,14 @@
 // Workers come in two placements: Local (an in-process searcher over an
 // rdd executor, used by tests, benchmarks and single-host fleets) and
 // Remote (a client for the HTTP shard protocol that NewHandler serves,
-// which is what `drapidd -worker` mounts). The wire protocol is
+// which is what `drapidd -worker` mounts). There is one wire protocol,
 // content-addressed and binary (DESIGN.md §12): a ShardSpec names its
-// observation by SHA-256 digest (FilterbankDigest), Remote uploads the
-// bytes to a worker's size-bounded LRU BlobCache at most once per cache
-// lifetime via HEAD/PUT /v1/blob/{digest}, and detected events return as
-// length-prefixed little-endian frames (36 bytes per event) instead of
-// NDJSON. Both halves are negotiated per worker — a v1 worker without
-// the blob API or the frames media type transparently gets inline JSON
-// specs and NDJSON streams, and a mixed fleet still merges to the
-// byte-identical single-engine output. See http.go for the exact
-// negotiation and eviction (412) rules, frame.go for the frame layout.
+// observation by SHA-256 digest (FilterbankDigest) and never carries its
+// bytes, Remote uploads the bytes to a worker's size-bounded LRU
+// BlobCache at most once per cache lifetime via HEAD/PUT
+// /v1/blob/{digest}, and detected events return as length-prefixed
+// little-endian frames (36 bytes per event). See http.go for the
+// eviction (412) and refusal rules, frame.go for the frame layout.
 //
 // Store abstracts the journal persistence the public engine layers on
 // top (queued/running jobs replayed on daemon restart): FSStore keeps

@@ -454,20 +454,23 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemoteStreamCut pins the completion contract: a response cut before
-// the done line is a failed attempt, not a silently short result.
+// TestRemoteStreamCut pins the completion contract mid-frame: a response
+// cut inside a frame, before the terminator, is a failed attempt, not a
+// silently short result.
 func TestRemoteStreamCut(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("Content-Type", MediaFrames)
 		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, `{"events":[{"dm":1,"snr":9,"time":0.5,"sample":10,"downfact":1}]}`)
-		panic(http.ErrAbortHandler) // cut the connection mid-stream
+		frame := appendEvents(nil, []spe.SPE{{DM: 1, SNR: 9, Time: 0.5, Sample: 10, Downfact: 1}})
+		w.Write(frame[:len(frame)-eventWireSize/2])
+		http.NewResponseController(w).Flush()
+		panic(http.ErrAbortHandler) // cut the connection inside the frame
 	}))
 	defer ts.Close()
 	remote := NewRemote("cut", ts.URL, nil)
 	_, err := remote.Run(context.Background(), ShardSpec{Job: "j", Shards: 1}, func([]spe.SPE) error { return nil })
-	if err == nil {
-		t.Fatal("cut stream did not fail the attempt")
+	if err == nil || !strings.Contains(err.Error(), "stream cut") {
+		t.Fatalf("stream cut mid-frame: err = %v, want a stream-cut failure", err)
 	}
 }
 

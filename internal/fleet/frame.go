@@ -10,19 +10,16 @@ import (
 	"drapid/internal/sps"
 )
 
-// This file is the binary event framing of the v2 shard protocol
+// This file is the binary event framing of the shard protocol
 // (DESIGN.md §12): the hot records of the return path — single-pulse
-// events — move as fixed-width little-endian structs instead of JSON
-// text, negotiated per response via Accept/Content-Type so v1 NDJSON
-// workers and coordinators interoperate unchanged.
+// events — move as fixed-width little-endian structs, not as text.
 //
 // A frame stream is a sequence of frames, each
 //
 //	type (1 byte) | payload length (uint32 LE) | payload
 //
-// and is terminated by exactly one stats or error frame — the same
-// completion contract as the NDJSON done line: a stream that ends
-// without a terminator is a failed attempt.
+// and is terminated by exactly one stats or error frame: a stream that
+// ends without a terminator is a failed attempt.
 //
 //	'E' events: payload = n × 36-byte records, each
 //	    dm float64 | snr float64 | time float64 | sample int64 | downfact int32
@@ -35,11 +32,8 @@ import (
 //	'R' error (terminal, failure): payload = UTF-8 message
 
 const (
-	// MediaFrames is the v2 binary framing media type; MediaNDJSON the v1
-	// fallback. Workers answer in whichever of the two the request's
-	// Accept header prefers, defaulting to NDJSON.
+	// MediaFrames is the media type of every shard response.
 	MediaFrames = "application/x-drapid-frames"
-	MediaNDJSON = "application/x-ndjson"
 
 	frameEvents = 'E'
 	frameStats  = 'S'

@@ -6,9 +6,9 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"strconv"
 	"strings"
@@ -21,83 +21,32 @@ import (
 	"drapid/internal/sps"
 )
 
-// The shard protocol is v2 of the fleet data plane (DESIGN.md §12),
-// wire-compatible in both directions with the v1 NDJSON protocol:
+// The shard protocol of the fleet data plane (DESIGN.md §12):
 //
 //	GET  /v1/shard/ping         → 200 {"ok":true,"proto":2}
 //	HEAD /v1/blob/{digest}      → 204 cached | 404 not cached
 //	PUT  /v1/blob/{digest}      ← raw observation bytes (optional gzip)
 //	                            → 201 stored (content verified against digest)
-//	POST /v1/shard              ← JSON ShardSpec, inline bytes or digest-only
-//	                            → event stream + exactly one terminator
+//	POST /v1/shard              ← JSON ShardSpec naming its observation by digest
+//	                            → binary event frames + exactly one terminator
 //
 // Dispatch is split from data: the coordinator uploads each distinct
 // observation blob once per worker cache lifetime and then ships only
 // its SHA-256 in every shard spec. A digest the worker no longer holds
-// fails the POST with 412, which the client answers by re-uploading.
-// Every v2 blob response carries the Drapid-Proto header, which is how
-// a client tells "v2 worker, blob absent" (404 with the header) from
-// "v1 worker, no blob routes at all" (404 without it) and falls back to
-// inline specs.
-//
-// The return stream is negotiated per request: a client that sends
-// Accept: application/x-drapid-frames receives length-prefixed binary
-// frames (frame.go); anyone else receives the v1 NDJSON lines. Both
-// encodings share the completion contract: a response that ends without
-// its terminal stats/done record (connection cut, worker killed) is a
-// failed attempt, which the coordinator resubmits — and events are only
-// folded into the merge when the terminator arrives, so a half-streamed
-// response never contaminates merged output.
+// fails the POST with 412, which the client answers by re-uploading
+// once; a refused upload or a second 412 fails the attempt. The
+// response is a stream of length-prefixed frames (frame.go) that ends
+// in a stats or error frame: a response that ends without one
+// (connection cut, worker killed) is a failed attempt, which the
+// coordinator resubmits — and events are only folded into the merge when
+// the terminator arrives, so a half-streamed response never contaminates
+// merged output.
 
-// protoHeader marks every v2 blob-route response; its absence on a 404
-// is how a v1 worker is recognised.
-const protoHeader = "Drapid-Proto"
-
-// shardLine is one NDJSON response line (the v1 fallback encoding).
-type shardLine struct {
-	Events []wireEvent `json:"events,omitempty"`
-	Done   bool        `json:"done,omitempty"`
-	Stats  *wireStats  `json:"stats,omitempty"`
-	Error  string      `json:"error,omitempty"`
-}
-
-// wireEvent is spe.SPE with stable JSON tags (the spe package keeps its
-// structs tag-free; the wire format is owned here).
-type wireEvent struct {
-	DM       float64 `json:"dm"`
-	SNR      float64 `json:"snr"`
-	Time     float64 `json:"time"`
-	Sample   int64   `json:"sample"`
-	Downfact int     `json:"downfact"`
-}
-
-// wireStats mirrors sps.Stats on the wire.
-type wireStats struct {
-	Trials  int    `json:"trials"`
-	Samples int64  `json:"samples"`
-	Events  int    `json:"events"`
-	Plan    string `json:"plan,omitempty"`
-	// StageSeconds ships the shard's per-stage busy/wall seconds back to
-	// the coordinator, which folds them additively across shards
-	// (DESIGN.md §10). Workers predating this field simply return none.
-	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
-}
-
-func toWire(events []spe.SPE) []wireEvent {
-	out := make([]wireEvent, len(events))
-	for i, e := range events {
-		out[i] = wireEvent{DM: e.DM, SNR: e.SNR, Time: e.Time, Sample: e.Sample, Downfact: e.Downfact}
-	}
-	return out
-}
-
-func fromWire(events []wireEvent) []spe.SPE {
-	out := make([]spe.SPE, len(events))
-	for i, e := range events {
-		out[i] = spe.SPE{DM: e.DM, SNR: e.SNR, Time: e.Time, Sample: e.Sample, Downfact: e.Downfact}
-	}
-	return out
-}
+// maxShardSpecBytes bounds a POST /v1/shard body. The largest legal spec
+// is dominated by its trial grid: sps.MaxTrials DMs of at most 25 bytes of
+// JSON each (a 24-character shortest float64 plus its comma). A MiB of
+// slack covers the widths, names and numbers around it.
+const maxShardSpecBytes = sps.MaxTrials*25 + 1<<20
 
 // Handler serves the worker side of the shard protocol with a
 // default-bounded blob cache: what tests and single-host fleets mount.
@@ -120,7 +69,6 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 		fmt.Fprintln(w, `{"ok":true,"proto":2}`)
 	})
 	mux.HandleFunc("GET /v1/blob/{digest}", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(protoHeader, "2")
 		digest := r.PathValue("digest")
 		if err := ValidDigest(digest); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -146,7 +94,6 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 		w.Write(data)
 	})
 	mux.HandleFunc("PUT /v1/blob/{digest}", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(protoHeader, "2")
 		digest := r.PathValue("digest")
 		if err := ValidDigest(digest); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -181,47 +128,35 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/shard", func(w http.ResponseWriter, r *http.Request) {
 		var spec ShardSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad shard spec: "+err.Error()), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardSpecBytes)).Decode(&spec); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad shard spec: "+err.Error()), status)
 			return
 		}
-		switch {
-		case len(spec.Filterbank) == 0 && spec.FilterbankDigest != "":
-			// Digest-only dispatch: resolve the observation from the cache,
-			// or tell the coordinator to upload it (412) — the one protocol
-			// answer cache eviction ever needs.
+		if spec.FilterbankDigest != "" {
+			// Resolve the observation from the cache, or tell the
+			// coordinator to upload it (412) — the one protocol answer cache
+			// eviction ever needs.
 			data, ok := cache.Get(spec.FilterbankDigest)
 			if !ok {
-				w.Header().Set(protoHeader, "2")
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusPreconditionFailed)
 				fmt.Fprintf(w, `{"error":"blob %s not cached"}`+"\n", spec.FilterbankDigest)
 				return
 			}
 			spec.Filterbank = data
-		case len(spec.Filterbank) > 0 && spec.FilterbankDigest != "":
-			// Inline spec that names its content: seed the cache so a later
-			// digest-only dispatch (or repeat job) hits. Refusals (size,
-			// digest mismatch) only cost the seeding, never the shard.
-			_ = cache.Put(spec.FilterbankDigest, spec.Filterbank)
 		}
-		binary := acceptsFrames(r.Header.Values("Accept"))
 		rc := http.NewResponseController(w)
-		if binary {
-			w.Header().Set("Content-Type", MediaFrames)
-		} else {
-			w.Header().Set("Content-Type", MediaNDJSON)
-		}
+		w.Header().Set("Content-Type", MediaFrames)
 		w.WriteHeader(http.StatusOK)
 		fw := &frameWriter{w: w}
-		enc := json.NewEncoder(w)
 		served := time.Now()
 		stats, err := RunShard(r.Context(), spec, exec, func(events []spe.SPE) error {
-			if binary {
-				if err := fw.writeEvents(events); err != nil {
-					return err
-				}
-			} else if err := enc.Encode(shardLine{Events: toWire(events)}); err != nil {
+			if err := fw.writeEvents(events); err != nil {
 				return err
 			}
 			return rc.Flush()
@@ -233,44 +168,17 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 		obs.Default.Histogram("drapid_fleet_shard_service_seconds",
 			"Worker-side shard service time (RunShard wall), by outcome.",
 			nil, obs.L("outcome", outcome)).Observe(time.Since(served).Seconds())
-		switch {
-		case err != nil && binary:
+		if err != nil {
 			fw.writeError(err.Error())
-		case err != nil:
-			enc.Encode(shardLine{Error: err.Error()})
-		case binary:
+		} else {
 			fw.writeStats(stats)
-		default:
-			enc.Encode(shardLine{Done: true, Stats: &wireStats{
-				Trials: stats.Trials, Samples: stats.Samples, Events: stats.Events, Plan: stats.Plan,
-				StageSeconds: stats.StageSeconds,
-			}})
 		}
 	})
 	return mux
 }
 
-// acceptsFrames reports whether any Accept value asks for the binary
-// frame encoding.
-func acceptsFrames(accept []string) bool {
-	for _, v := range accept {
-		if strings.Contains(v, MediaFrames) {
-			return true
-		}
-	}
-	return false
-}
-
-// Remote protocol generations, learned per worker from its responses.
-const (
-	protoUnknown = 0 // not probed yet: try v2 first
-	protoLegacy  = 1 // v1: inline specs, NDJSON responses
-	protoBlob    = 2 // v2: blob dispatch, binary frames negotiated
-)
-
 // Remote is a worker behind the HTTP shard protocol: the coordinator's
-// client for one `drapidd -worker` process. It learns the worker's
-// protocol generation from its responses and remembers which blobs it
+// client for one `drapidd -worker` process. It remembers which blobs it
 // has uploaded, so each distinct observation crosses the wire at most
 // once per worker cache lifetime.
 type Remote struct {
@@ -283,7 +191,6 @@ type Remote struct {
 	recv    *obs.Counter
 
 	mu    sync.Mutex
-	proto int
 	blobs map[string]bool // digests believed resident on the worker
 }
 
@@ -345,18 +252,6 @@ func (r *Remote) Ping(ctx context.Context) error {
 	return nil
 }
 
-func (r *Remote) legacy() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.proto == protoLegacy
-}
-
-func (r *Remote) setProto(p int) {
-	r.mu.Lock()
-	r.proto = p
-	r.mu.Unlock()
-}
-
 func (r *Remote) rememberBlob(digest string) {
 	r.mu.Lock()
 	r.blobs[digest] = true
@@ -375,92 +270,73 @@ func (r *Remote) knowsBlob(digest string) bool {
 	return r.blobs[digest]
 }
 
-// Run implements Worker: ship the observation as a content-addressed
-// blob when the worker speaks v2 (once per cache lifetime), POST the
-// spec, stream back event batches in whichever encoding the worker
-// granted, and require the terminal record — a response that ends
-// without one is a failed attempt.
+// Run implements Worker: make the observation resident on the worker as
+// a content-addressed blob (uploaded once per cache lifetime), POST the
+// digest-only spec, and stream back event frames up to the terminal
+// record — a response that ends without one is a failed attempt. A spec
+// without a digest is posted as is, and the worker refuses it.
 func (r *Remote) Run(ctx context.Context, spec ShardSpec, emit func([]spe.SPE) error) (sps.Stats, error) {
-	if spec.FilterbankDigest != "" && len(spec.Filterbank) > 0 && !r.legacy() {
-		// Two rounds cover the eviction race: the blob can disappear
-		// between ensure and dispatch, in which case 412 sends us around
-		// once more. A second 412 (cache thrashing) falls back to inline.
-		for attempt := 0; attempt < 2; attempt++ {
-			ok, err := r.ensureBlob(ctx, spec.FilterbankDigest, spec.Filterbank)
-			if err != nil {
-				return sps.Stats{}, err
-			}
-			if !ok {
-				break // v1 worker, or blob refused: ship inline
-			}
-			lean := spec
-			lean.Filterbank = nil
-			stats, missing, err := r.post(ctx, lean, emit)
-			if !missing {
-				return stats, err
-			}
-			r.forgetBlob(spec.FilterbankDigest)
+	if spec.FilterbankDigest == "" {
+		stats, _, err := r.post(ctx, spec, emit)
+		return stats, err
+	}
+	// Two rounds cover the eviction race: the blob can disappear between
+	// ensure and dispatch, in which case 412 sends us around once more.
+	for attempt := 0; attempt < 2; attempt++ {
+		if err := r.ensureBlob(ctx, spec.FilterbankDigest, spec.Filterbank); err != nil {
+			return sps.Stats{}, fmt.Errorf("fleet: worker %s shard %s/%d: %w", r.name, spec.Job, spec.Index, err)
 		}
+		stats, missing, err := r.post(ctx, spec, emit)
+		if !missing {
+			return stats, err
+		}
+		r.forgetBlob(spec.FilterbankDigest)
 	}
-	stats, missing, err := r.post(ctx, spec, emit)
-	if missing {
-		// An inline spec can never be answered with 412; a worker that
-		// does is broken.
-		return stats, fmt.Errorf("fleet: worker %s shard %s/%d: rejected inline spec with 412",
-			r.name, spec.Job, spec.Index)
-	}
-	return stats, err
+	return sps.Stats{}, fmt.Errorf("fleet: worker %s shard %s/%d: blob %.12s evicted again after re-upload (412 twice)",
+		r.name, spec.Job, spec.Index, spec.FilterbankDigest)
 }
 
 // ensureBlob makes the observation resident on the worker, uploading it
-// if the HEAD probe misses. Returns false (no error) when the worker
-// turns out to be v1, or refuses the blob — the caller ships inline.
-func (r *Remote) ensureBlob(ctx context.Context, digest string, data []byte) (bool, error) {
+// if the HEAD probe misses.
+func (r *Remote) ensureBlob(ctx context.Context, digest string, data []byte) error {
 	if r.knowsBlob(digest) {
-		return true, nil
+		return nil
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodHead, r.base+"/v1/blob/"+digest, nil)
 	if err != nil {
-		return false, err
+		return err
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return false, err
+		return err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK:
-		r.setProto(protoBlob)
+	switch resp.StatusCode {
+	case http.StatusNoContent, http.StatusOK:
 		r.rememberBlob(digest)
-		return true, nil
-	case resp.StatusCode == http.StatusNotFound && resp.Header.Get(protoHeader) != "":
-		r.setProto(protoBlob) // v2 worker, blob absent: upload below
-	default:
-		// No blob routes — a v1 worker (or something equally unwilling).
-		// Remember and ship inline from now on; the heartbeat keeps using
-		// ping, so a later worker upgrade is picked up after reconnect.
-		r.setProto(protoLegacy)
-		return false, nil
+		return nil
+	case http.StatusNotFound:
+		return r.putBlob(ctx, digest, data)
 	}
-	return r.putBlob(ctx, digest, data)
+	return fmt.Errorf("probing blob %.12s: %s", digest, resp.Status)
 }
 
 // putBlob uploads one blob: a streaming body with Content-Length (no
-// full-body JSON copy), optionally gzip-compressed. Refusals (413 and
-// kin) report false so the shard ships inline; only transport errors
-// propagate.
-func (r *Remote) putBlob(ctx context.Context, digest string, data []byte) (bool, error) {
+// full-body JSON copy), optionally gzip-compressed. A refusal (413 past
+// the worker's cache bound, 400 on a digest mismatch) is an error naming
+// the worker's answer.
+func (r *Remote) putBlob(ctx context.Context, digest string, data []byte) error {
 	var body *bytes.Reader
 	encoding := ""
 	if r.gzip {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
 		if _, err := zw.Write(data); err != nil {
-			return false, err
+			return err
 		}
 		if err := zw.Close(); err != nil {
-			return false, err
+			return err
 		}
 		body = bytes.NewReader(buf.Bytes())
 		encoding = "gzip"
@@ -469,7 +345,7 @@ func (r *Remote) putBlob(ctx context.Context, digest string, data []byte) (bool,
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, r.base+"/v1/blob/"+digest, body)
 	if err != nil {
-		return false, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if encoding != "" {
@@ -477,16 +353,18 @@ func (r *Remote) putBlob(ctx context.Context, digest string, data []byte) (bool,
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return false, err
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		return fmt.Errorf("worker refused blob %.12s (%d bytes): %s: %s",
+			digest, len(data), resp.Status, strings.TrimSpace(string(msg)))
 	}
 	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		return false, nil
-	}
 	r.sent.Add(float64(body.Size()))
 	r.rememberBlob(digest)
-	return true, nil
+	return nil
 }
 
 // countReader counts bytes read through it.
@@ -503,8 +381,7 @@ func (c *countReader) Read(p []byte) (int, error) {
 
 // post executes one shard RPC. missing reports a 412 blob-not-cached
 // answer (the caller re-uploads and retries); every other non-200 is an
-// error. The response encoding follows the worker's Content-Type, so a
-// v1 worker that ignores Accept is decoded as NDJSON transparently.
+// error.
 func (r *Remote) post(ctx context.Context, spec ShardSpec, emit func([]spe.SPE) error) (stats sps.Stats, missing bool, err error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -517,7 +394,7 @@ func (r *Remote) post(ctx context.Context, spec ShardSpec, emit func([]spe.SPE) 
 		return sps.Stats{}, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", MediaFrames+", "+MediaNDJSON)
+	req.Header.Set("Accept", MediaFrames)
 	resp, err := r.client.Do(req)
 	if err != nil {
 		return sps.Stats{}, false, err
@@ -537,15 +414,7 @@ func (r *Remote) post(ctx context.Context, spec ShardSpec, emit func([]spe.SPE) 
 	}
 	cr := &countReader{r: resp.Body}
 	defer func() { r.recv.Add(float64(cr.n)) }()
-	ct := resp.Header.Get("Content-Type")
-	if mt, _, mtErr := mime.ParseMediaType(ct); mtErr == nil {
-		ct = mt
-	}
-	if ct == MediaFrames {
-		stats, err = r.decodeFrames(cr, spec, emit)
-		return stats, false, err
-	}
-	stats, err = r.decodeNDJSON(cr, spec, emit)
+	stats, err = r.decodeFrames(cr, spec, emit)
 	return stats, false, err
 }
 
@@ -579,44 +448,6 @@ func (r *Remote) decodeFrames(body io.Reader, spec ShardSpec, emit func([]spe.SP
 		case frameError:
 			return sps.Stats{}, fmt.Errorf("fleet: worker %s shard %s/%d: %s",
 				r.name, spec.Job, spec.Index, string(payload))
-		}
-	}
-}
-
-// decodeNDJSON drains a v1 NDJSON stream. json.Decoder reads values, not
-// lines, so an event-dense batch far past any line-scanner buffer cap
-// decodes fine — the 64 MiB bufio.Scanner ceiling this path once had
-// silently failed exactly the shards that needed the stream most.
-func (r *Remote) decodeNDJSON(body io.Reader, spec ShardSpec, emit func([]spe.SPE) error) (sps.Stats, error) {
-	dec := json.NewDecoder(body)
-	for {
-		var l shardLine
-		if err := dec.Decode(&l); err != nil {
-			if err == io.EOF {
-				return sps.Stats{}, fmt.Errorf("fleet: worker %s shard %s/%d: stream ended without completion",
-					r.name, spec.Job, spec.Index)
-			}
-			return sps.Stats{}, fmt.Errorf("fleet: worker %s shard %s/%d: stream cut: %w",
-				r.name, spec.Job, spec.Index, err)
-		}
-		switch {
-		case l.Error != "":
-			return sps.Stats{}, fmt.Errorf("fleet: worker %s shard %s/%d: %s", r.name, spec.Job, spec.Index, l.Error)
-		case l.Done:
-			var stats sps.Stats
-			if l.Stats != nil {
-				stats = sps.Stats{
-					Trials: l.Stats.Trials, Samples: l.Stats.Samples, Events: l.Stats.Events, Plan: l.Stats.Plan,
-					StageSeconds: l.Stats.StageSeconds,
-				}
-			}
-			return stats, nil
-		case len(l.Events) > 0:
-			if emit != nil {
-				if err := emit(fromWire(l.Events)); err != nil {
-					return sps.Stats{}, err
-				}
-			}
 		}
 	}
 }

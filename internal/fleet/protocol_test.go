@@ -1,108 +1,21 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"drapid/internal/obs"
-	"drapid/internal/rdd"
 	"drapid/internal/spe"
 )
 
-// legacyHandler replicates the v1 worker wire behaviour exactly: POST
-// /v1/shard answering NDJSON regardless of Accept, inline observations
-// only, and no /v1/blob routes at all (so blob probes get a bare 404
-// with no Drapid-Proto header). The negotiation tests run against it to
-// prove a v2 coordinator degrades to the old protocol transparently.
-func legacyHandler(exec rdd.ExecConfig) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/shard/ping", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"ok":true}`)
-	})
-	mux.HandleFunc("POST /v1/shard", func(w http.ResponseWriter, r *http.Request) {
-		var spec ShardSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", MediaNDJSON)
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		rc := http.NewResponseController(w)
-		stats, err := RunShard(r.Context(), spec, exec, func(events []spe.SPE) error {
-			if err := enc.Encode(shardLine{Events: toWire(events)}); err != nil {
-				return err
-			}
-			return rc.Flush()
-		})
-		if err != nil {
-			enc.Encode(shardLine{Error: err.Error()})
-			return
-		}
-		enc.Encode(shardLine{Done: true, Stats: &wireStats{
-			Trials: stats.Trials, Samples: stats.Samples, Events: stats.Events, Plan: stats.Plan,
-			StageSeconds: stats.StageSeconds,
-		}})
-	})
-	return mux
-}
-
-// TestProtocolNegotiationMixedFleet runs one DM-sharded job over a fleet
-// of one v1 (JSON-only, inline-only) worker and one v2 worker and checks
-// the merged output is record-for-record identical to the unsharded
-// reference — the bit-exact merge contract holds across protocol
-// generations, so fleets can upgrade one worker at a time.
-func TestProtocolNegotiationMixedFleet(t *testing.T) {
-	fb, raw := testObservation(t)
-	dms := testGrid()
-	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
-	want := unshardedEvents(t, fb, search, dms)
-	if len(want) == 0 {
-		t.Fatal("reference search found no events")
-	}
-
-	v1 := httptest.NewServer(legacyHandler(testExec()))
-	defer v1.Close()
-	v2 := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
-	defer v2.Close()
-	r1 := NewRemote("v1", v1.URL, nil)
-	r2 := NewRemote("v2", v2.URL, nil)
-
-	c := NewCoordinator(Config{Heartbeat: time.Hour}, r1, r2)
-	defer c.Close()
-	shards := PlanDM("job", raw, dms, search, 4)
-	var got []spe.SPE
-	if _, _, err := c.Run(context.Background(), shards, func(evs []spe.SPE) error {
-		got = append(got, evs...)
-		return nil
-	}, RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !eventsEqual(want, got) {
-		t.Fatalf("mixed v1/v2 merge differs from unsharded (%d vs %d events)", len(got), len(want))
-	}
-	// The negotiation must actually have split: the v1 remote learned to
-	// ship inline, the v2 remote learned blob dispatch.
-	if r1.proto != protoLegacy {
-		t.Fatalf("v1 remote learned proto %d, want %d (legacy)", r1.proto, protoLegacy)
-	}
-	if r2.proto != protoBlob {
-		t.Fatalf("v2 remote learned proto %d, want %d (blob)", r2.proto, protoBlob)
-	}
-}
-
-// TestBlobDispatchUploadsOnce pins the tentpole economics: a v2 worker
+// TestBlobDispatchUploadsOnce pins the data plane's economics: a worker
 // receives the observation body exactly once per cache lifetime — every
 // DM shard of the first job and the whole of a second job over the same
 // observation ship digest-only specs.
@@ -152,7 +65,7 @@ func TestBlobDispatchUploadsOnce(t *testing.T) {
 
 // TestBlobEvictionReupload pins the 412 path: when the worker evicts a
 // blob the coordinator still believes resident, the next dispatch gets
-// 412, re-uploads, and succeeds — no failed attempt, no inline fallback.
+// 412, re-uploads, and succeeds — no failed attempt.
 func TestBlobEvictionReupload(t *testing.T) {
 	_, raw := testObservation(t)
 	dms := testGrid()
@@ -216,93 +129,6 @@ func TestGzipBlobUpload(t *testing.T) {
 	}
 }
 
-// TestRemoteHugeEventLine is the regression test for the 64 MiB
-// bufio.Scanner cap Remote.Run's NDJSON path used to carry: one events
-// line far past that bound must decode completely. json.Decoder reads
-// values, not lines, so no buffer ceiling applies.
-func TestRemoteHugeEventLine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("streams >64 MiB of JSON")
-	}
-	const n = 1_400_000 // ≈ 78 MB of events on one NDJSON line
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", MediaNDJSON)
-		w.WriteHeader(http.StatusOK)
-		bw := bufio.NewWriterSize(w, 1<<20)
-		bw.WriteString(`{"events":[`)
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, `{"dm":1.5,"snr":9.25,"time":%d.5,"sample":%d,"downfact":3}`, i, i)
-		}
-		bw.WriteString("]}\n")
-		bw.WriteString(`{"done":true,"stats":{"trials":1,"samples":1,"events":` + strconv.Itoa(n) + `}}` + "\n")
-		bw.Flush()
-	}))
-	defer ts.Close()
-
-	remote := NewRemote("huge", ts.URL, nil)
-	total := 0
-	var last spe.SPE
-	stats, err := remote.Run(context.Background(), ShardSpec{Job: "j", Shards: 1}, func(evs []spe.SPE) error {
-		total += len(evs)
-		last = evs[len(evs)-1]
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != n {
-		t.Fatalf("decoded %d events, want %d", total, n)
-	}
-	if last.Sample != n-1 || last.Downfact != 3 {
-		t.Fatalf("last event %+v, want sample %d", last, n-1)
-	}
-	if stats.Events != n {
-		t.Fatalf("stats.Events = %d, want %d", stats.Events, n)
-	}
-}
-
-// TestFramedRoundTripMatchesNDJSON drives the same real shard through
-// both response encodings and checks byte-identical results: the binary
-// frames are an encoding change, not a semantic one.
-func TestFramedRoundTripMatchesNDJSON(t *testing.T) {
-	_, raw := testObservation(t)
-	dms := testGrid()
-	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
-	shards := PlanDM("job", raw, dms, search, 2)
-
-	v1 := httptest.NewServer(legacyHandler(testExec()))
-	defer v1.Close()
-	v2 := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
-	defer v2.Close()
-
-	for _, s := range shards {
-		var ndjson, framed []spe.SPE
-		sJSON, err := NewRemote("v1", v1.URL, nil).Run(context.Background(), s, func(evs []spe.SPE) error {
-			ndjson = append(ndjson, evs...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sBin, err := NewRemote("v2", v2.URL, nil).Run(context.Background(), s, func(evs []spe.SPE) error {
-			framed = append(framed, evs...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eventsEqual(ndjson, framed) {
-			t.Fatalf("shard %d: framed events differ from NDJSON (%d vs %d)", s.Index, len(framed), len(ndjson))
-		}
-		if sJSON.Trials != sBin.Trials || sJSON.Samples != sBin.Samples || sJSON.Events != sBin.Events || sJSON.Plan != sBin.Plan {
-			t.Fatalf("shard %d: stats differ across encodings: %+v vs %+v", s.Index, sJSON, sBin)
-		}
-	}
-}
-
 // TestFramedStreamCut pins the completion contract on the binary path:
 // a frame stream cut before its terminator fails the attempt.
 func TestFramedStreamCut(t *testing.T) {
@@ -319,5 +145,116 @@ func TestFramedStreamCut(t *testing.T) {
 	_, err := remote.Run(context.Background(), ShardSpec{Job: "j", Shards: 1}, func([]spe.SPE) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "stream") {
 		t.Fatalf("cut frame stream: err = %v, want stream failure", err)
+	}
+}
+
+// countingHandler wraps a worker handler, counting blob uploads and
+// shard POSTs, and answering every shard POST with answer instead when it
+// is non-zero.
+func countingHandler(inner http.Handler, puts, posts *atomic.Int64, answer int) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPut:
+			puts.Add(1)
+		case http.MethodPost:
+			posts.Add(1)
+			if answer != 0 {
+				w.WriteHeader(answer)
+				return
+			}
+		}
+		inner.ServeHTTP(w, r)
+	})
+}
+
+// TestRefusedBlobFailsAttempt: a worker whose cache cannot hold the
+// observation refuses the upload with 413, and the attempt fails with an
+// error naming that answer — the shard is never dispatched, and through a
+// coordinator every attempt fails the same way until MaxAttempts.
+func TestRefusedBlobFailsAttempt(t *testing.T) {
+	_, raw := testObservation(t)
+	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}, 2)
+	var puts, posts atomic.Int64
+	ts := httptest.NewServer(countingHandler(NewHandler(testExec(), NewBlobCache(int64(len(raw))/2, nil)), &puts, &posts, 0))
+	defer ts.Close()
+	remote := NewRemote("small", ts.URL, nil)
+
+	_, err := remote.Run(context.Background(), shards[0], func([]spe.SPE) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "refused blob") || !strings.Contains(err.Error(), "413") {
+		t.Fatalf("refused blob: err = %v, want the worker's 413 named", err)
+	}
+	c := NewCoordinator(Config{Heartbeat: 5 * time.Millisecond, MaxAttempts: 2}, remote)
+	defer c.Close()
+	_, _, err = c.Run(context.Background(), shards[:1], func([]spe.SPE) error { return nil }, RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") || !strings.Contains(err.Error(), "413") {
+		t.Fatalf("coordinator over a refusing worker: err = %v, want failure after 2 attempts naming the 413", err)
+	}
+	if n := posts.Load(); n != 0 {
+		t.Fatalf("%d shard POSTs reached a worker that refused the blob, want 0", n)
+	}
+	if n := puts.Load(); n != 3 {
+		t.Fatalf("%d blob uploads, want 3 (one per attempt)", n)
+	}
+}
+
+// TestSecond412FailsAttempt: a blob evicted again right after its
+// re-upload fails the attempt instead of looping or shipping the bytes
+// another way.
+func TestSecond412FailsAttempt(t *testing.T) {
+	_, raw := testObservation(t)
+	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}, 1)
+	var puts, posts atomic.Int64
+	ts := httptest.NewServer(countingHandler(NewHandler(testExec(), NewBlobCache(0, nil)), &puts, &posts, http.StatusPreconditionFailed))
+	defer ts.Close()
+	_, err := NewRemote("thrash", ts.URL, nil).Run(context.Background(), shards[0], func([]spe.SPE) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "412 twice") {
+		t.Fatalf("two 412s: err = %v, want the attempt failed naming them", err)
+	}
+	if n := posts.Load(); n != 2 {
+		t.Fatalf("%d shard POSTs, want 2 (the dispatch and one retry)", n)
+	}
+}
+
+// aReader streams n bytes of 'A'.
+type aReader struct{ n int64 }
+
+func (r *aReader) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), r.n)]
+	for i := range p {
+		p[i] = 'A'
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestShardSpecBounded: observation bytes never ride in a spec. A spec
+// body past the largest legal one — an observation inlined as base64 —
+// is answered 413 before it is buffered, and a small spec's inline bytes
+// are not read, so without a digest it is refused as having no
+// filterbank.
+func TestShardSpecBounded(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
+	defer ts.Close()
+
+	body := io.MultiReader(strings.NewReader(`{"job":"j","filterbank":"`),
+		&aReader{n: maxShardSpecBytes}, strings.NewReader(`","dms":[1]}`))
+	resp, err := http.Post(ts.URL+"/v1/shard", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %s, want 413", resp.Status)
+	}
+
+	_, raw := testObservation(t)
+	spec := ShardSpec{Job: "j", Shards: 1, Filterbank: raw, DMs: testGrid()}
+	_, err = NewRemote("w0", ts.URL, nil).Run(context.Background(), spec, func([]spe.SPE) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "no filterbank") {
+		t.Fatalf("spec without a digest: err = %v, want it refused for having no filterbank", err)
 	}
 }

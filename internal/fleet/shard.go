@@ -36,10 +36,10 @@ type ShardSpec struct {
 	Attempt int `json:"attempt,omitempty"`
 	// Filterbank is the raw SIGPROC observation this shard searches: the
 	// whole observation for DM shards, the owned slice plus overlap for
-	// time shards. On the v2 wire it is omitted in favour of
-	// FilterbankDigest — the worker resolves the bytes from its blob
-	// cache (DESIGN.md §12).
-	Filterbank []byte `json:"filterbank,omitempty"`
+	// time shards. It never crosses the wire: a Local worker reads it in
+	// memory, and a Remote one uploads it as the blob FilterbankDigest
+	// names, which the worker resolves from its cache (DESIGN.md §12).
+	Filterbank []byte `json:"-"`
 	// FilterbankDigest is the content address (lowercase hex SHA-256) of
 	// Filterbank. Planning always sets it; a spec shipped by digest alone
 	// is only executable on a worker whose blob cache holds the bytes.
@@ -65,7 +65,7 @@ type ShardSpec struct {
 }
 
 // Validate checks the shard is executable: it must carry the
-// observation inline, or name it by digest (resolvable against a blob
+// observation's bytes, or name them by digest (resolvable against a blob
 // cache before execution).
 func (s ShardSpec) Validate() error {
 	if len(s.Filterbank) == 0 && s.FilterbankDigest == "" {
@@ -162,8 +162,8 @@ func PlanDM(job string, raw []byte, dms []float64, search SearchSpec, n int) []S
 		n = 1
 	}
 	// One observation, one digest: every DM shard addresses the same
-	// blob, so a v2 worker receives the bytes at most once per job — and
-	// at most once across jobs while the blob stays cached.
+	// blob, so a remote worker receives the bytes at most once per job —
+	// and at most once across jobs while the blob stays cached.
 	digest := Digest(raw)
 	shards := make([]ShardSpec, 0, n)
 	for i := 0; i < n; i++ {

@@ -72,11 +72,28 @@ func runDRAPIDEmitted(t *testing.T, prep *pipeline.Prepared, params core.Params,
 	return emitted, res.RecordsDropped
 }
 
+// identifyLines is the in-memory search over prepared lines: GroupByKey,
+// then ProcessKeyGroup per key in key order, a malformed key group
+// dropped and counted as RunDRAPID counts it.
+func identifyLines(prep *pipeline.Prepared, params core.Params, feat features.Config) (recs []pipeline.MLRecord, dropped int64) {
+	for _, g := range pipeline.GroupByKey(prep.DataLines, prep.ClusterLines) {
+		out, _, err := pipeline.ProcessKeyGroup(g.Key, g.Clusters, g.Data, params, feat)
+		if err != nil {
+			dropped++
+			continue
+		}
+		recs = append(recs, out...)
+	}
+	return recs, dropped
+}
+
 // TestIdentifyMatchesRunDRAPID is the seam gate of in-memory
-// identification: Identify over Prepare's lines must emit exactly the
-// records RunDRAPID emits over the same lines uploaded to the simulated
-// HDFS — same order, same features bit for bit — and drop malformed key
-// groups exactly as RunDRAPID counts them.
+// identification: the typed search (Searcher.SearchEvents) over an
+// observation's events and clusters must emit exactly the records
+// RunDRAPID emits over the same observation's lines uploaded to the
+// simulated HDFS — same order, same features bit for bit. The line
+// semantics (aliased heads, malformed key groups) are held to RunDRAPID
+// through GroupByKey and ProcessKeyGroup.
 func TestIdentifyMatchesRunDRAPID(t *testing.T) {
 	grid, err := dmgrid.New([]dmgrid.Stage{{Lo: 0, Hi: 151, Step: 1}})
 	if err != nil {
@@ -84,32 +101,45 @@ func TestIdentifyMatchesRunDRAPID(t *testing.T) {
 	}
 	params := core.DefaultParams()
 	params.SlopeM = core.DefaultSlopeM * 0.25 // scaled to the unit step, as detect jobs do
-	check := func(t *testing.T, prep *pipeline.Prepared, feat features.Config, wantDropped int64) []pipeline.MLRecord {
+	checkRDD := func(t *testing.T, prep *pipeline.Prepared, feat features.Config, got []pipeline.MLRecord, dropped, wantDropped int64) {
 		t.Helper()
-		got, dropped := pipeline.Identify(prep, params, feat)
 		want, wantRDD := runDRAPIDEmitted(t, prep, params, feat)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Identify emitted %d records, RunDRAPID %d, or they differ:\n got %v\nwant %v", len(got), len(want), got, want)
+			t.Fatalf("in-memory search emitted %d records, RunDRAPID %d, or they differ:\n got %v\nwant %v", len(got), len(want), got, want)
 		}
 		if dropped != wantRDD || dropped != wantDropped {
-			t.Fatalf("Identify dropped %d key groups, RunDRAPID %d, want %d", dropped, wantRDD, wantDropped)
+			t.Fatalf("in-memory search dropped %d key groups, RunDRAPID %d, want %d", dropped, wantRDD, wantDropped)
 		}
+	}
+	typed := func(t *testing.T, obs []spe.Observation, feat features.Config) []pipeline.MLRecord {
+		t.Helper()
+		prep := pipeline.Prepare(obs, grid, dbscan.DefaultParams())
+		var recs []pipeline.MLRecord
+		for i, o := range obs {
+			s := pipeline.Searcher{Key: o.Key.String(), Params: params, Feat: feat}
+			recs = s.SearchEvents(recs, o.Events, prep.Clusters[i])
+		}
+		checkRDD(t, prep, feat, recs, 0, 0)
+		return recs
+	}
+	check := func(t *testing.T, prep *pipeline.Prepared, feat features.Config, wantDropped int64) []pipeline.MLRecord {
+		t.Helper()
+		got, dropped := identifyLines(prep, params, feat)
+		checkRDD(t, prep, feat, got, dropped, wantDropped)
 		return got
 	}
 
 	for _, seed := range []int64{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			obs, feat := skyObservation(t, seed, grid)
-			prep := pipeline.Prepare([]spe.Observation{obs}, grid, dbscan.DefaultParams())
-			if recs := check(t, prep, feat, 0); len(recs) == 0 {
+			if recs := typed(t, []spe.Observation{obs}, feat); len(recs) == 0 {
 				t.Fatal("the sky identified no pulses, so the comparison is vacuous")
 			}
 		})
 	}
 
 	t.Run("empty", func(t *testing.T) {
-		prep := pipeline.Prepare(nil, grid, dbscan.DefaultParams())
-		if recs := check(t, prep, features.Config{Grid: grid}, 0); recs != nil {
+		if recs := typed(t, nil, features.Config{Grid: grid}); recs != nil {
 			t.Fatalf("empty input identified %d records", len(recs))
 		}
 	})

@@ -87,12 +87,9 @@ type WorkStats struct {
 }
 
 // ProcessKeyGroup runs the D-RAPID search phase for one observation key:
-// parse the observation's SPE payloads once, then for every cluster payload
-// select the member events, search them, and extract features. This is the
-// body of the "Search" phase of Figure 3. The group allocates its parsed
-// events and one member buffer that every cluster reuses: neither the
-// search (pulses are index ranges) nor feature extraction (a value) keeps a
-// reference to the members.
+// parse the observation's SPE payloads once, then search every cluster
+// payload with a Searcher. This is the body of the "Search" phase of
+// Figure 3.
 func ProcessKeyGroup(key string, clusterPayloads, dataPayloads []string, p core.Params, cfg features.Config) ([]MLRecord, WorkStats, error) {
 	var stats WorkStats
 	if len(clusterPayloads) == 0 {
@@ -110,28 +107,76 @@ func ProcessKeyGroup(key string, clusterPayloads, dataPayloads []string, p core.
 	spe.SortByDM(events)
 
 	stats.ClusterSPEs = make([]int, 0, len(clusterPayloads))
+	s := Searcher{Key: key, Params: p, Feat: cfg}
 	var out []MLRecord
-	var member []spe.SPE
 	for _, payload := range clusterPayloads {
 		cl, err := spe.ParseClusterPayload(payload)
 		if err != nil {
 			return nil, stats, err
 		}
-		member = selectMembers(member[:0], events, &cl)
-		stats.ClusterSPEs = append(stats.ClusterSPEs, len(member))
-		stats.SPEsSearched += len(member)
-		pulses := core.Search(member, p)
-		stats.Pulses += len(pulses)
-		for _, pl := range pulses {
-			out = append(out, MLRecord{
-				Key:       key,
-				ClusterID: cl.ID,
-				PulseRank: pl.Rank,
-				Vec:       features.Extract(member, pl, &cl, cfg),
-			})
-		}
+		before := len(out)
+		var n int
+		out, n = s.Search(out, events, &cl)
+		stats.ClusterSPEs = append(stats.ClusterSPEs, n)
+		stats.SPEsSearched += n
+		stats.Pulses += len(out) - before
 	}
 	return out, stats, nil
+}
+
+// Searcher is the per-cluster core of the Search phase, over typed events:
+// select a cluster's member events, search them for single pulses
+// (core.Search) and extract each pulse's features. ProcessKeyGroup feeds it
+// parsed payloads, and SearchEvents an observation's own events rounded as
+// their records would be, so both emit the same records. The buffers are
+// reused by every cluster and every call: neither the search (pulses are
+// index ranges) nor feature extraction (a value) keeps a reference to
+// them.
+type Searcher struct {
+	// Key is the observation key every record carries.
+	Key    string
+	Params core.Params
+	Feat   features.Config
+	member []spe.SPE
+	byDM   []spe.SPE
+}
+
+// SearchEvents searches one observation's events against its clusters,
+// appending the records to out in cluster order. The events and clusters
+// are read as their CSV records carry them (spe.Quantize,
+// spe.QuantizeCluster, the wire rounding), so the records are exactly the
+// ones ProcessKeyGroup emits over the same observation's lines. Neither
+// argument is modified.
+func (s *Searcher) SearchEvents(out []MLRecord, events []spe.SPE, clusters []*spe.Cluster) []MLRecord {
+	if len(clusters) == 0 {
+		return out
+	}
+	s.byDM = s.byDM[:0]
+	for _, e := range events {
+		s.byDM = append(s.byDM, spe.Quantize(e))
+	}
+	spe.SortByDM(s.byDM)
+	for _, c := range clusters {
+		cl := spe.QuantizeCluster(*c)
+		out, _ = s.Search(out, s.byDM, &cl)
+	}
+	return out
+}
+
+// Search appends one record per single pulse of cl to out. events must be
+// the observation's events sorted by spe.SortByDM. n is the number of
+// events inside cl's bounding box: the SPEs searched.
+func (s *Searcher) Search(out []MLRecord, events []spe.SPE, cl *spe.Cluster) (_ []MLRecord, n int) {
+	s.member = selectMembers(s.member[:0], events, cl)
+	for _, pl := range core.Search(s.member, s.Params) {
+		out = append(out, MLRecord{
+			Key:       s.Key,
+			ClusterID: cl.ID,
+			PulseRank: pl.Rank,
+			Vec:       features.Extract(s.member, pl, cl, s.Feat),
+		})
+	}
+	return out, len(s.member)
 }
 
 // KeyGroup is one observation key's cluster and SPE data payloads, each in
@@ -201,23 +246,6 @@ func groupLines(lines []string) *keyedPayloads {
 		g.groups[i].Value = append(g.groups[i].Value, payload)
 	}
 	return g
-}
-
-// Identify is RunDRAPID's Search phase run in memory on the calling
-// goroutine: the prepared lines grouped by key, then ProcessKeyGroup per key
-// in key order. It reads the same wire-format payloads, so the features see
-// the same rounding and the records are the ones RunDRAPID emits; a
-// malformed key group is dropped and counted exactly as RunDRAPID counts it.
-func Identify(p *Prepared, params core.Params, feat features.Config) (recs []MLRecord, dropped int64) {
-	for _, g := range GroupByKey(p.DataLines, p.ClusterLines) {
-		out, _, err := ProcessKeyGroup(g.Key, g.Clusters, g.Data, params, feat)
-		if err != nil {
-			dropped++
-			continue
-		}
-		recs = append(recs, out...)
-	}
-	return recs, dropped
 }
 
 // selectMembers appends to dst the DM-sorted events inside the cluster's

@@ -67,6 +67,37 @@ func AppendClusterLine(dst []byte, c *Cluster) []byte {
 	return strconv.AppendInt(append(dst, ','), int64(c.Rank), 10)
 }
 
+// Quantize returns e as a data-file record carries it: DM, SNR and Time
+// rounded to the precisions AppendDataLine prints and parsed back, so a
+// typed event holds exactly the values ParseDataLine would read from its
+// line. Sample and Downfact are integers and cross the text unchanged.
+func Quantize(e SPE) SPE {
+	e.DM = roundTrip(e.DM, 4)
+	e.SNR = roundTrip(e.SNR, 3)
+	e.Time = roundTrip(e.Time, 6)
+	return e
+}
+
+// QuantizeCluster returns c as a cluster-file record carries it: the
+// bounds and SNRMax rounded like Quantize's fields. Key is kept as is; a
+// parsed cluster payload leaves it zero, and nothing downstream of the
+// per-key search reads it.
+func QuantizeCluster(c Cluster) Cluster {
+	c.DMMin, c.DMMax = roundTrip(c.DMMin, 4), roundTrip(c.DMMax, 4)
+	c.TMin, c.TMax = roundTrip(c.TMin, 6), roundTrip(c.TMax, 6)
+	c.SNRMax = roundTrip(c.SNRMax, 3)
+	return c
+}
+
+// roundTrip is ParseFloat∘AppendFloat at %.<prec>f, formatted into a stack
+// buffer. The parse cannot fail: AppendFloat writes a finite value's exact
+// decimal digits and NaN/±Inf as the spellings ParseFloat accepts.
+func roundTrip(v float64, prec int) float64 {
+	var buf [32]byte
+	q, _ := strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], v, 'f', prec, 64)), 64)
+	return q
+}
+
 // appendKeyFields appends the five observation descriptors.
 func appendKeyFields(dst []byte, k Key) []byte {
 	dst = append(dst, k.Dataset...)

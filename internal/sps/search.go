@@ -453,6 +453,10 @@ func trialEvents(dm, tsampSec float64, dets []Detection) []spe.SPE {
 	return events
 }
 
+// MaxTrials bounds a trial-DM grid: LinearDMs refuses a longer one, and
+// so does DetectJob validation, before anything is allocated.
+const MaxTrials = 1 << 20
+
 // LinearDMs builds the ascending trial grid [lo, hi] spaced step apart —
 // the simple dense plan brute-force dedispersion sweeps.
 func LinearDMs(lo, hi, step float64) ([]float64, error) {
@@ -463,8 +467,8 @@ func LinearDMs(lo, hi, step float64) ([]float64, error) {
 		return nil, fmt.Errorf("sps: bad DM range [%g, %g]", lo, hi)
 	}
 	n := int((hi-lo)/step) + 1
-	if n > 1<<20 {
-		return nil, fmt.Errorf("sps: DM grid of %d trials exceeds %d", n, 1<<20)
+	if n > MaxTrials {
+		return nil, fmt.Errorf("sps: DM grid of %d trials exceeds %d", n, MaxTrials)
 	}
 	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {

@@ -254,6 +254,26 @@ func TestGenerateBounded(t *testing.T) {
 			t.Fatalf("a 1e18 ms pulse rendered %v", v)
 		}
 	}
+
+	// A pulse train is bounded before it is expanded into pulses: 2⁴⁰
+	// pulses a second apart end far outside the observation, and 2⁴⁰
+	// pulses inside it cannot each have a sample.
+	for name, tr := range map[string]PulseTrain{
+		"span":    {StartSec: 0.1, PeriodSec: 1, Count: 1 << 40, DM: 10, WidthMs: 1, SNR: 10},
+		"density": {StartSec: 0.1, PeriodSec: 1e-300, Count: 1 << 40, DM: 10, WidthMs: 1, SNR: 10},
+	} {
+		cfg := base
+		cfg.Trains = []PulseTrain{tr}
+		runtime.ReadMemStats(&before)
+		_, err := Generate(cfg)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "train 0") {
+			t.Fatalf("%s: 2⁴⁰-pulse train: err = %v, want the train bound", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Fatalf("%s: refused train still allocated %d bytes", name, alloc)
+		}
+	}
 }
 
 func TestLinearDMs(t *testing.T) {

@@ -179,6 +179,15 @@ func Generate(cfg SynthConfig) (*Filterbank, error) {
 		if tr.Count > 1 && tr.PeriodSec <= 0 {
 			return nil, fmt.Errorf("sps: train %d needs period > 0 for %d pulses", i, tr.Count)
 		}
+		// Bound the train before expanding it: pulses rise monotonically from
+		// StartSec, so the train lies inside the observation when its ends
+		// do, and no more pulses than samples fit in it.
+		if last := tr.StartSec + float64(tr.Count-1)*tr.PeriodSec; tr.StartSec < 0 || !(last < tobs) {
+			return nil, fmt.Errorf("sps: train %d's pulses span t=%gs to %gs, outside the %gs observation", i, tr.StartSec, last, tobs)
+		}
+		if tr.Count > hdr.NSamples {
+			return nil, fmt.Errorf("sps: train %d has %d pulses, more than the observation's %d samples", i, tr.Count, hdr.NSamples)
+		}
 		pulses = append(pulses, tr.Pulses()...)
 	}
 	for i, p := range pulses {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"drapid/internal/pipeline"
+	"drapid/internal/dbscan"
 	"drapid/internal/sift"
 	"drapid/internal/spe"
 )
@@ -183,20 +183,17 @@ func siftView(gs []sift.Group, s *jobSift, n int) TopView {
 	return view
 }
 
-// siftGroups rates every cluster of a prepared observation set. base
-// offsets the cluster ids: the streaming path passes the cumulative
-// cluster count of earlier segments so ids (and with them the ranked
-// view and the candidate stream) match what one batch pass over the same
-// events would have assigned — segments are cut at quiet gaps wider than
-// the DBSCAN linkage reach, and batch clustering discovers clusters in
-// time order, so per-segment ids continue the batch numbering exactly.
-func siftGroups(obs []spe.Observation, prep *pipeline.Prepared, base int, p sift.Params) []sift.Group {
-	var out []sift.Group
-	for i, o := range obs {
-		res := prep.Results[i]
-		for c := range res.Members {
-			out = append(out, sift.Build(base+c, o.Key, res.MemberEvents(c, o.Events), p))
-		}
+// siftGroups rates every cluster of one clustered segment. base offsets
+// the cluster ids: the streaming path passes the cumulative cluster count
+// of earlier segments so ids (and with them the ranked view and the
+// candidate stream) match what one batch pass over the same events would
+// have assigned — segments are cut at quiet gaps wider than the DBSCAN
+// linkage reach, and batch clustering discovers clusters in time order,
+// so per-segment ids continue the batch numbering exactly.
+func siftGroups(key spe.Key, events []spe.SPE, res *dbscan.Result, base int, p sift.Params) []sift.Group {
+	out := make([]sift.Group, 0, len(res.Members))
+	for c := range res.Members {
+		out = append(out, sift.Build(base+c, key, res.MemberEvents(c, events), p))
 	}
 	return out
 }
