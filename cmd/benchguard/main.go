@@ -5,9 +5,11 @@
 //	benchguard -baseline BENCH_baseline.json -current /tmp/bench_ci.json
 //
 // The default tracked series are the repo's scaling contracts: the
-// dedispersion kernel throughput, the streaming search throughput, the
-// streaming search's bounded-memory peak-alloc, and the fleet data
-// plane's bytes-on-wire and event-codec throughput. Regenerate the
+// dedispersion kernel throughput, the search throughput and peak-alloc
+// of BenchmarkSearch's two modes — one search driver, mode=batch being its
+// one-gulp case and mode=stream its fixed gulps, whose flat peak-alloc is
+// the bounded-memory contract — and the fleet data plane's bytes-on-wire
+// and event-codec throughput. Regenerate the
 // baseline with the same invocations CI uses (the bench-smoke step)
 // after an intentional perf change:
 //

@@ -59,7 +59,7 @@ func main() {
 		threshold   = flag.Float64("threshold", 6, "detect: matched-filter SNR threshold")
 		noZeroDM    = flag.Bool("no-zerodm", false, "detect: disable the zero-DM broadband-RFI filter")
 		plan        = flag.String("plan", "auto", "detect: dedispersion plan: auto, subband, or brute")
-		block       = flag.Int("block", 0, "detect: stream the filterbank in gulps of this many samples (bounded memory; 0 = whole-file batch)")
+		block       = flag.Int("block", 0, "detect: stream the filterbank in gulps of this many samples (bounded memory; 0 = the whole file as one gulp)")
 		top         = flag.Int("top", 10, "detect: print the N best sifted candidate groups and their repeat sources (0 disables sifting)")
 		catalogPath = flag.String("catalog", "", "detect: known-source catalog CSV (name,dm,period_s) for sift matching")
 		executors   = flag.Int("executors", 10, "Spark executors to allocate (paper testbed max: 22)")

@@ -121,7 +121,10 @@ type DetectJob struct {
 	// Threshold is the detection SNR cut; zero takes 6.
 	Threshold float64
 	// NormWindow is the running mean/variance normalisation window in
-	// samples; zero normalises each trial by its global moments.
+	// samples, >= 0. Zero normalises each trial by its global moments when
+	// the observation is searched in one gulp, and takes the frontend's
+	// DefaultNormWindow when it is gulped (BlockSamples or
+	// FilterbankStream), since global moments need the whole series.
 	NormWindow int
 	// NoZeroDM disables the zero-DM broadband-RFI filter
 	// (sps.ZeroDMFilter), which detect jobs otherwise apply before
@@ -134,18 +137,16 @@ type DetectJob struct {
 	// "brute" force a strategy. Result.Plan reports what actually ran.
 	// See DESIGN.md §6.
 	Plan string
-	// BlockSamples switches the search to the bounded-memory streaming
-	// path (DESIGN.md §7): the observation is consumed in gulps of this
-	// many samples with the dispersion overlap carried between them, events
-	// fold in deterministic order as blocks complete, and candidates are
-	// clustered and identified segment by segment — streamed out while
-	// later blocks are still being searched — instead of after the full
-	// search. BlockSamples must cover the largest trial's dispersion sweep
-	// (undersized blocks fail with a clear error). Zero keeps today's
-	// whole-file batch path (unless FilterbankStream is set, which
-	// defaults it to DefaultBlockSamples). In streaming mode a zero
-	// NormWindow uses the frontend's DefaultNormWindow, since global
-	// moments need the whole series.
+	// BlockSamples is the gulp size of the search (DESIGN.md §7): the
+	// observation is consumed in gulps of this many samples with the
+	// dispersion overlap carried between them, in memory bounded by the
+	// gulp, events fold in deterministic order as blocks complete, and
+	// candidates are clustered and identified segment by segment —
+	// streamed out while later blocks are still being searched — instead
+	// of after the full search. BlockSamples must cover the largest
+	// trial's dispersion sweep (undersized blocks fail with a clear
+	// error). Zero searches an ingested observation as one gulp, clustered
+	// as a whole; a FilterbankStream takes DefaultBlockSamples instead.
 	BlockSamples int
 	// Shards splits the search across the engine's worker fleet (DESIGN.md
 	// §9): the job is planned into this many shards, dispatched over the
@@ -198,6 +199,9 @@ func (spec DetectJob) validate() (lo, hi, step float64, kind sps.PlanKind, err e
 	}
 	if spec.BlockSamples < 0 {
 		return fail(fmt.Errorf("drapid: BlockSamples must be >= 0, got %d", spec.BlockSamples))
+	}
+	if spec.NormWindow < 0 {
+		return fail(fmt.Errorf("drapid: NormWindow must be >= 0, got %d", spec.NormWindow))
 	}
 	lo, hi, step = spec.DMMin, spec.DMMax, spec.DMStep
 	if lo == 0 && hi == 0 && step == 0 {
@@ -396,8 +400,8 @@ func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.
 // detectSource resolves the spec's event source. A sharded job runs on the
 // fleet (fleetSource). A FilterbankStream is searched gulp by gulp as it
 // arrives, and BlockSamples gulps an ingested observation the same way;
-// both flush at quiet gaps. Otherwise the batch search emits every event
-// once into a single segment, as the fleet's DM barrier does.
+// both flush at quiet gaps. Otherwise the observation is searched as one
+// gulp whose events form a single segment, as the fleet's DM barrier does.
 func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) (*eventSource, error) {
 	if spec.Shards > 1 {
 		return e.fleetSource(j, spec, grid)
@@ -440,17 +444,8 @@ func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sp
 	ingest.SetRecords(0, int64(fb.NSamples))
 	ingest.AddBytes(int64(len(fb.Data)) * 4)
 	ingest.End()
-	if cfg.BlockSamples > 0 {
-		return &eventSource{hdr: fb.Header, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
-			return sps.SearchFilterbank(j.ctx, fb, cfg, emit)
-		}}, nil
-	}
-	return &eventSource{hdr: fb.Header, single: true, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
-		events, stats, err := sps.Search(j.ctx, fb, cfg)
-		if err != nil {
-			return stats, err
-		}
-		return stats, emit(events)
+	return &eventSource{hdr: fb.Header, single: cfg.BlockSamples == 0, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
+		return sps.SearchFilterbank(j.ctx, fb, cfg, emit)
 	}}, nil
 }
 
@@ -479,7 +474,7 @@ type segmenter struct {
 	// single defers the one and only flush to finish: the whole event set
 	// is clustered at once, so cross-cluster features computed over "all
 	// clusters of the observation" (ClusterRank) are observation-global.
-	// The batch search and the fleet's DM-sharded barrier merge use this —
+	// The one-gulp search and the fleet's DM-sharded barrier merge use this —
 	// each delivers every event at once, so incremental flushing buys
 	// nothing and would re-rank per segment.
 	single bool

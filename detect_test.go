@@ -190,13 +190,14 @@ func TestDetectJobValidation(t *testing.T) {
 	defer engine.Close()
 	synth := &drapid.SynthSpec{NChans: 8, NSamples: 64}
 	cases := map[string]drapid.DetectJob{
-		"no input":      {},
-		"both inputs":   {Filterbank: []byte{1}, Synth: synth},
-		"bad DM range":  {Synth: synth, DMMin: 50, DMMax: 10, DMStep: 1},
-		"bad DM step":   {Synth: synth, DMMin: 0, DMMax: 10, DMStep: -1},
-		"bad threshold": {Synth: synth, Threshold: -2},
-		"bad buffer":    {Synth: synth, ResultBuffer: -1},
-		"malformed key": {Synth: synth, Key: "not-a-key"},
+		"no input":             {},
+		"both inputs":          {Filterbank: []byte{1}, Synth: synth},
+		"bad DM range":         {Synth: synth, DMMin: 50, DMMax: 10, DMStep: 1},
+		"bad DM step":          {Synth: synth, DMMin: 0, DMMax: 10, DMStep: -1},
+		"bad threshold":        {Synth: synth, Threshold: -2},
+		"bad buffer":           {Synth: synth, ResultBuffer: -1},
+		"negative norm window": {Synth: synth, NormWindow: -1},
+		"malformed key":        {Synth: synth, Key: "not-a-key"},
 		// A comma splits the dataset into two CSV fields, and every
 		// candidate of the job would be lost to the misread records.
 		"comma in key": {Synth: synth, Key: "PAL,FA:58000:10:20:1"},

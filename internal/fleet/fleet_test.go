@@ -197,18 +197,6 @@ func TestPlanTimeRequiresNormWindow(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsTrialRange pins that the streaming search refuses a
-// restricted config rather than silently searching everything.
-func TestStreamRejectsTrialRange(t *testing.T) {
-	fb, _ := testObservation(t)
-	cfg := sps.Config{DMs: testGrid(), Threshold: 6, TrialLo: 1, TrialHi: 4,
-		BlockSamples: 8192, NormWindow: 1024, Exec: testExec()}
-	if _, err := sps.SearchFilterbank(context.Background(), fb, cfg, nil); err == nil ||
-		!strings.Contains(err.Error(), "trial range") {
-		t.Fatalf("streaming search with TrialLo/TrialHi: err = %v, want trial-range rejection", err)
-	}
-}
-
 // fakeWorker scripts Worker behaviour for coordinator tests.
 type fakeWorker struct {
 	name string

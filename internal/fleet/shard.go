@@ -95,7 +95,7 @@ func (s ShardSpec) Validate() error {
 // the Local worker and the HTTP worker handler. Events are delivered to
 // emit time-sorted, filtered to the shard's owned range, and rebased to
 // global sample indices; the Time of a rebased event is recomputed with
-// the same float64(sample)*tsamp arithmetic the batch search uses.
+// the same float64(sample)*tsamp arithmetic the search uses.
 func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit func([]spe.SPE) error) (sps.Stats, error) {
 	if err := spec.Validate(); err != nil {
 		return sps.Stats{}, err

@@ -117,10 +117,10 @@ func dedisperseAll(b *testing.B, fb *Filterbank, dms []float64, workers int, lat
 }
 
 // subbandDedisperseAll runs one full fine-grid fan-out through the
-// two-stage plan — the dedispersion work of the batch subband search
-// without the filtering stages, via the same dedisperseNominal task body
-// the search uses (shift tables and staging included), mirroring what
-// dedisperseAll measures for brute force.
+// two-stage plan — the dedispersion work of the subband search without the
+// filtering stages: per nominal, stage 1 once and then stage 2 for every
+// constrainable fine trial (shift tables and staging included), mirroring
+// what dedisperseAll measures for brute force.
 func subbandDedisperseAll(b *testing.B, fb *Filterbank, plan *SubbandPlan, workers int, cm *chanMajor) {
 	b.Helper()
 	exec := rdd.ExecConfig{Workers: workers}
@@ -128,14 +128,19 @@ func subbandDedisperseAll(b *testing.B, fb *Filterbank, plan *SubbandPlan, worke
 		b.Fatal(err)
 	}
 	tabs := buildShiftTables(fb.Header, plan.dms, plan)
-	groups := plan.nominalGroups()
+	groups := plan.nominalGroups(0, len(plan.dms))
 	if err := rdd.RunParallel(context.Background(), exec, len(groups), func(k int) {
 		if len(groups[k]) == 0 {
 			return
 		}
 		bufs := subbandPool.Get().(*subbandBuffers)
 		defer subbandPool.Put(bufs)
-		plan.dedisperseNominal(cm, tabs, k, groups[k], bufs, func(int, []float64) {})
+		bufs.sub = plan.stage1(cm, tabs.nomCh[k], tabs.nomIntra[k], bufs.sub)
+		for _, i := range groups[k] {
+			if n := cm.rows - tabs.sweeps[i]; n >= 1 {
+				bufs.combined = combine(bufs.sub, tabs.trialSub[i], 0, 0, n, bufs.combined)
+			}
+		}
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -255,9 +260,10 @@ func BenchmarkDedisperse(b *testing.B) {
 // width, ingest included, as a mode=batch / mode=stream matrix over an
 // nsamples axis that grows 4×. Both modes start from the same serialised
 // SIGPROC bytes and run the same trial grid with the same explicit
-// normalisation window (so the searched events are identical); batch
-// stages the whole observation (sps.Read + Search), stream consumes it in
-// fixed gulps (SearchStream). The per-entry peak-alloc-B metric — the
+// normalisation window (so the searched events are identical) through the
+// one search driver: batch stages the whole observation and searches it
+// as one gulp (sps.Read + Search), stream consumes it in fixed gulps
+// (SearchStream). The per-entry peak-alloc-B metric — the
 // heap-allocation high-water of one operation, recorded in BENCH_sps.json
 // as peak_alloc_bytes — is the bounded-memory evidence of DESIGN.md §7:
 // roughly flat across the nsamples axis for stream, linear for batch.

@@ -8,8 +8,8 @@ import (
 
 // Block is one gulp of a filterbank observation: Rows consecutive samples
 // starting at absolute sample index Start, in the same sample-major layout
-// Filterbank.Data uses. Consecutive blocks overlap: the first Fresh rows of
-// a block repeat the tail of the previous one, carrying the dispersion
+// Filterbank.Data uses. Consecutive blocks overlap: the first overlap rows
+// of a block repeat the tail of the previous one, carrying the dispersion
 // lookahead a block-local kernel needs, so a trial whose maximum channel
 // shift is at most the overlap can produce its output samples
 // [Start, Start+block) from this block alone. Data is reused between Next
@@ -19,10 +19,6 @@ type Block struct {
 	Start int
 	// Rows is the number of samples in Data (Rows × NChans values).
 	Rows int
-	// Fresh is the index of the first row not already seen in the previous
-	// block (0 for the first block, the overlap thereafter). Rows [0, Fresh)
-	// are carried verbatim.
-	Fresh int
 	// Last reports that no further blocks follow: Start+Rows is the total
 	// sample count of the observation.
 	Last bool
@@ -165,7 +161,6 @@ func (br *BlockReader) Next() (*Block, error) {
 	blk := &Block{
 		Start: br.read - keep,
 		Rows:  keep + got,
-		Fresh: keep,
 		Last:  br.done,
 		Data:  br.data[:(keep+got)*nchan],
 	}

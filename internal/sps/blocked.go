@@ -17,8 +17,8 @@ import (
 // tile stays resident while the channels' contiguous spans stream through
 // four at a time, so every fetched line is fully consumed, the tile is
 // loaded and stored once per four channels, and the staging cost is
-// amortised over the whole trial grid (batch) or every trial of a gulp
-// (streaming).
+// amortised over every trial of a gulp (the whole trial grid on the
+// one-gulp search).
 //
 // For every output sample the channels accumulate in ascending channel
 // order, the order of the per-sample reference loops in ref_test.go, so the

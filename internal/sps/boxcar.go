@@ -54,7 +54,7 @@ func normalizeInto(x []float64, window int, sum, sq []float64) ([]float64, []flo
 
 // windowMoments returns the mean and standard deviation of the window
 // [lo, hi) from prefix sums — the one definition of Normalize's moments,
-// batch and stream; the variance floor guards flat stretches.
+// whole-series and carried; the variance floor guards flat stretches.
 func windowMoments(sum, sq []float64, lo, hi int) (mean, sd float64) {
 	w := float64(hi - lo)
 	mean = (sum[hi] - sum[lo]) / w
@@ -124,7 +124,7 @@ func (d Detection) Center() int { return d.Start + d.Width/2 }
 // together, so the whole ladder costs one add per width per sample instead
 // of a fresh prefix-sum scan per width. The recurrence fixes the
 // floating-point summation tree of every window, which is what lets the
-// streaming boxcar reproduce batch decisions bit-for-bit: both sides run
+// carried boxcar reproduce whole-series decisions bit-for-bit: both run
 // the identical ladder over identical z-values.
 func BoxcarDetect(z []float64, widths []int, threshold float64) []Detection {
 	clean := make([]int, 0, len(widths))

@@ -77,9 +77,8 @@ func ZeroDMFilter(fb *Filterbank) *Filterbank {
 // derived once per search from the header and the plan: each trial's sweep
 // (the trailing samples its output loses, fixing its length at N − sweep),
 // the overlap a block stream must carry (the largest sweep), and the plan's
-// channel/subband shift tables. They are block-invariant, so the batch
-// search over the whole observation and the stream over every gulp index
-// the same tables.
+// channel/subband shift tables. They are block-invariant, so the one-gulp
+// search and a gulped one index the same tables.
 type shiftTables struct {
 	overlap int
 	sweeps  []int

@@ -16,8 +16,8 @@ import (
 
 // This file is the property-based gate on the search kernels: for randomly
 // drawn but valid observations — channel count, sampling, band direction
-// and bit depth all vary — every driver (batch, tiled single trial, block
-// stream) at any worker count must emit record-for-record what refSearch,
+// and bit depth all vary — the search in one gulp or in random gulps, over
+// the whole grid or a trial range, at any worker count must emit record-for-record what refSearch,
 // the per-sample reference search of ref_test.go, emits. The kernels
 // preserve the reference loops' ascending-channel accumulation order and
 // summation trees, so the equality below is exact (bit-for-bit), not
@@ -108,9 +108,9 @@ func withWorkers(cfg Config, n int) Config {
 }
 
 // TestKernelEquivalenceRandom sweeps random cases through both plans and
-// asserts that the batch search (any worker count), the tiled single-trial
-// split, and the block stream (random block sizes and worker counts) all
-// reproduce the reference search exactly.
+// asserts that the one-gulp search (any worker count), the tiled
+// single-trial split, and gulped searches (random block sizes, worker
+// counts and trial ranges) all reproduce the reference search exactly.
 func TestKernelEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	iters := 8
@@ -172,7 +172,7 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 			}
 
 			// A single-trial restriction against a wide pool drives the
-			// time-tiled split (bruteTiled); its oracle is the reference
+			// time-tiled split (searchTiled); its oracle is the reference
 			// search under the same restriction.
 			res := oracle
 			res.TrialLo = rng.Intn(len(ec.base.DMs))
@@ -189,6 +189,39 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 			if !reflect.DeepEqual(gotR, wantR) {
 				t.Fatalf("%s: tiled single-trial search diverges from the reference search (%d vs %d events)",
 					tag, len(gotR), len(wantR))
+			}
+
+			// Gulped searches under a restriction: a random contiguous range
+			// at least as wide as the pool (the per-trial or per-nominal
+			// fan-out), and one narrower than the pool, so the brute plan's
+			// tiled split runs gulp after gulp.
+			for _, narrow := range []bool{false, true} {
+				res := oracle
+				res.TrialLo = rng.Intn(len(ec.base.DMs))
+				width := 1 + rng.Intn(len(ec.base.DMs)-res.TrialLo)
+				workers := 1 + rng.Intn(width)
+				if narrow {
+					width = min(width, 3)
+					workers = width + 1 + rng.Intn(3)
+				}
+				res.TrialHi = res.TrialLo + width
+				wantR, wantRStats, err := refSearch(ec.fb, res)
+				if err != nil {
+					t.Fatalf("%s: restricted oracle: %v", tag, err)
+				}
+				res.BlockSamples = sweep + 1 + rng.Intn(ec.fb.NSamples/4)
+				res.Exec = rdd.ExecConfig{Workers: workers}
+				label := fmt.Sprintf("gulped range [%d, %d) workers=%d block=%d", res.TrialLo, res.TrialHi, workers, res.BlockSamples)
+				gotR, stats, err := Search(context.Background(), ec.fb, res)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", tag, label, err)
+				}
+				if !reflect.DeepEqual(gotR, wantR) {
+					t.Fatalf("%s: %s: events diverge from the reference search (%d vs %d)", tag, label, len(gotR), len(wantR))
+				}
+				if stats.Trials != wantRStats.Trials || stats.Samples != wantRStats.Samples || stats.Events != wantRStats.Events {
+					t.Fatalf("%s: %s: stats %+v != oracle %+v", tag, label, stats, wantRStats)
+				}
 			}
 		}
 	}

@@ -92,13 +92,6 @@ func FuzzBlockReader(f *testing.F) {
 			if blk.Rows < 0 || len(blk.Data) != blk.Rows*nchan {
 				t.Fatalf("block %d: %d values for %d rows of %d channels", k, len(blk.Data), blk.Rows, nchan)
 			}
-			wantFresh := overlap
-			if k == 0 {
-				wantFresh = 0
-			}
-			if blk.Fresh != wantFresh && !(blk.Last && blk.Rows <= blk.Fresh) {
-				t.Fatalf("block %d Fresh = %d, want %d", k, blk.Fresh, wantFresh)
-			}
 			next += block
 			if blk.Last {
 				if _, err := br.Next(); err == nil {

@@ -152,6 +152,25 @@ func refSearch(fb *Filterbank, cfg Config) ([]spe.SPE, Stats, error) {
 	return out, stats, nil
 }
 
+// trialEvents converts one trial's detections to SPE events (nil when the
+// trial found nothing).
+func trialEvents(dm, tsampSec float64, dets []Detection) []spe.SPE {
+	if len(dets) == 0 {
+		return nil
+	}
+	events := make([]spe.SPE, len(dets))
+	for k, d := range dets {
+		events[k] = spe.SPE{
+			DM:       dm,
+			SNR:      d.SNR,
+			Time:     float64(d.Center()) * tsampSec,
+			Sample:   int64(d.Center()),
+			Downfact: d.Width,
+		}
+	}
+	return events
+}
+
 // refNormalize is Normalize one sample at a time: every sample clamps its
 // own window and takes its own moments and square root.
 func refNormalize(x []float64, window int) {

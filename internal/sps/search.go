@@ -22,14 +22,15 @@ type Config struct {
 	// DefaultThreshold.
 	Threshold float64
 	// NormWindow is the running-normalisation window in samples
-	// (Normalize); zero uses the global moments of each trial's series.
+	// (Normalize). Zero uses the global moments of each trial's series on
+	// the one-gulp search (BlockSamples zero), and DefaultNormWindow on a
+	// gulped one, whose carries cannot hold the whole series.
 	NormWindow int
 	// ZeroDM applies the zero-DM filter (ZeroDMFilter's arithmetic) before
 	// dedispersion, cancelling broadband RFI at the cost of sensitivity to
-	// genuinely zero-DM signals. Batch and stream alike fuse it into the
-	// channel-major staging of each block, so it never costs a filtered
-	// copy of the data. Detect jobs submitted through the engine enable it
-	// by default.
+	// genuinely zero-DM signals. The search fuses it into the channel-major
+	// staging of each block, so it never costs a filtered copy of the data.
+	// Detect jobs submitted through the engine enable it by default.
 	ZeroDM bool
 	// Plan selects the dedispersion strategy (DESIGN.md §6): the zero
 	// value picks two-stage subband dedispersion with an auto-chosen
@@ -38,23 +39,23 @@ type Config struct {
 	// degenerates the nominal grid into the fine grid — low observing
 	// frequencies with fine sampling against a coarse trial grid).
 	Plan DedispersePlan
-	// TrialLo and TrialHi restrict the batch search to the half-open range
+	// TrialLo and TrialHi restrict the search to the half-open range
 	// [TrialLo, TrialHi) of DMs — the sharding hook of the coordinator +
 	// worker fleet (internal/fleet, DESIGN.md §9). The full grid must still
 	// be supplied: dedispersion-plan resolution (the subband nominal grid
 	// and trial→nominal assignment) always derives from the whole grid, so
 	// a trial searched under any restriction produces bit-identical events
-	// to the same trial in an unrestricted run. Both zero searches every
-	// trial. The streaming driver does not support restriction.
+	// to the same trial in an unrestricted run, at any BlockSamples. Both
+	// zero searches every trial.
 	TrialLo, TrialHi int
-	// BlockSamples switches the search to the bounded-memory block driver
-	// (DESIGN.md §7): the observation is consumed as gulps of this many
-	// samples with the dispersion overlap carried between them, and the
-	// emitted events are record-for-record identical to the batch path for
-	// any block size (BlockSamples must cover the largest trial's sweep) and
-	// any worker count — provided NormWindow is explicit, since streaming
-	// substitutes DefaultNormWindow for the batch default of global
-	// moments. Zero (the default) keeps the whole-file batch driver.
+	// BlockSamples is the gulp size of the search (DESIGN.md §7): the
+	// observation is consumed as gulps of this many samples with the
+	// dispersion overlap carried between them, so memory is bounded by the
+	// gulp whatever the observation length. It must cover the largest
+	// trial's sweep. The emitted events are record-for-record identical for
+	// any block size and any worker count, provided NormWindow is explicit.
+	// Zero searches the observation as one gulp: every trial's whole series
+	// is normalised and matched-filtered at once, with no carries.
 	BlockSamples int
 	// Exec configures the worker pool the DM trials fan out on — the same
 	// executor the distributed engine's stages use, so a search submitted
@@ -100,10 +101,9 @@ const (
 )
 
 // stageClock accumulates per-stage busy time from concurrent search
-// tasks. One mutex across workers is fine here: it is taken once per
-// trial (batch) or once per trial-block (streaming), both of which are
-// orders of magnitude coarser than the kernels they time. A nil clock
-// is a no-op so uninstrumented constructions stay valid.
+// tasks. One mutex across workers is fine here: it is taken a few times
+// per trial and block, orders of magnitude coarser than the kernels they
+// time. A nil clock is a no-op so uninstrumented constructions stay valid.
 type stageClock struct {
 	mu sync.Mutex
 	m  map[string]time.Duration
@@ -148,7 +148,7 @@ func (sc *stageClock) seconds() map[string]float64 {
 
 // kernelScratch is the worker-owned scratch of the normalise and boxcar
 // kernels: the normalisation prefix sums and the boxcar ladder with its
-// window sums, plus — on the streaming path, where it is sized to one
+// window sums, plus — on a gulped search, where it is sized to one
 // streamChunk sub-chunk rather than to the series — the [carried tail | new
 // samples] staging of the raw and the normalised samples.
 type kernelScratch struct {
@@ -184,85 +184,35 @@ type subbandBuffers struct {
 
 var subbandPool = sync.Pool{New: func() any { return &subbandBuffers{} }}
 
-// Search runs the full frontend over one filterbank: for every trial DM it
-// dedisperses (two-stage subband by default, one-stage brute force when
-// forced or cheaper — see Config.Plan and DESIGN.md §6), normalises
-// (Normalize), and matched-filters (BoxcarDetect), emitting one spe.SPE
-// per detection. Work fans out concurrently on cfg.Exec via the rdd
-// worker pool — per trial DM on the brute path, per nominal DM on the
-// subband path — and per-trial outputs are folded back in grid order, so
-// the result is record-for-record identical for any worker count. Event
-// times are the boxcar-centre arrival times at the highest observed
+// Search runs the full frontend over one filterbank and returns every
+// event at once: it is a collector over SearchFilterbank, the one search
+// driver, so it dedisperses (two-stage subband by default, one-stage brute
+// force when forced or cheaper — see Config.Plan and DESIGN.md §6),
+// normalises (Normalize) and matched-filters (BoxcarDetect) every trial DM
+// exactly as the driver does, with the events in time order (ties by DM).
+// Event times are the boxcar-centre arrival times at the highest observed
 // frequency, in seconds from the start of the observation; Downfact
-// carries the matched boxcar width.
+// carries the matched boxcar width. The result is record-for-record
+// identical for any worker count and, with NormWindow explicit, any
+// BlockSamples.
 //
 // Trials whose dispersion sweep exceeds the observation are skipped (a
 // short observation simply cannot constrain them).
 func Search(ctx context.Context, fb *Filterbank, cfg Config) ([]spe.SPE, Stats, error) {
-	var stats Stats
-	if err := fb.Validate(); err != nil {
-		return nil, stats, err
-	}
-	if len(fb.Data) != fb.NSamples*fb.NChans {
-		return nil, stats, fmt.Errorf("sps: data has %d values, header says %d", len(fb.Data), fb.NSamples*fb.NChans)
-	}
-	if cfg.BlockSamples > 0 {
-		// Bounded-memory block driver (DESIGN.md §7), collected back into
-		// the batch return shape; the event records are identical.
-		var out []spe.SPE
-		stats, err := SearchFilterbank(ctx, fb, cfg, func(events []spe.SPE) error {
-			out = append(out, events...)
-			return nil
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-		return out, stats, nil
-	}
-	widths, threshold, sub, planDesc, err := resolveSearch(fb.Header, cfg)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Plan = planDesc
-	sc := newStageClock()
-	// The filterbank is staged channel-major once (DESIGN.md §11) —
-	// amortised over the whole trial grid — with the zero-DM filter fused
-	// into the staging tiles.
-	cm := &chanMajor{}
-	if err := cm.stage(ctx, cfg.Exec, fb.Data, fb.NSamples, fb.NChans, cfg.ZeroDM, sc); err != nil {
-		return nil, stats, err
-	}
-	bs := &batchSearch{
-		cfg: cfg, cm: cm, tabs: buildShiftTables(fb.Header, cfg.DMs, sub),
-		widths: widths, threshold: threshold, tsamp: fb.TsampSec, sc: sc,
-		perTrial: make([][]spe.SPE, len(cfg.DMs)),
-		searched: make([]int64, len(cfg.DMs)),
-	}
-	if sub != nil {
-		err = bs.subband(ctx, sub)
-	} else {
-		err = bs.brute(ctx)
-	}
-	stats.StageSeconds = sc.seconds()
-	if err != nil {
-		return nil, stats, err
-	}
 	var out []spe.SPE
-	for i, events := range bs.perTrial {
-		stats.Samples += bs.searched[i]
-		if bs.searched[i] > 0 {
-			stats.Trials++
-		}
+	stats, err := SearchFilterbank(ctx, fb, cfg, func(events []spe.SPE) error {
 		out = append(out, events...)
+		return nil
+	})
+	if err != nil {
+		return nil, stats, err
 	}
-	spe.SortByTime(out)
-	stats.Events = len(out)
 	return out, stats, nil
 }
 
-// resolveSearch validates the search parameters shared by the batch and
-// streaming drivers — the trial grid, the width ladder, the threshold —
-// and resolves the dedispersion plan.
+// resolveSearch validates the search parameters — the trial grid and
+// range, the width ladder, the threshold — and resolves the dedispersion
+// plan.
 func resolveSearch(hdr Header, cfg Config) (widths []int, threshold float64, sub *SubbandPlan, planDesc string, err error) {
 	if len(cfg.DMs) == 0 {
 		return nil, 0, nil, "", fmt.Errorf("sps: no trial DMs")
@@ -299,158 +249,12 @@ func resolveSearch(hdr Header, cfg Config) (widths []int, threshold float64, sub
 }
 
 // trialRange resolves Config.TrialLo/TrialHi to the half-open index range
-// of cfg.DMs a batch search executes (the whole grid by default).
+// of cfg.DMs a search executes (the whole grid by default).
 func trialRange(cfg Config) (lo, hi int) {
 	if cfg.TrialLo == 0 && cfg.TrialHi == 0 {
 		return 0, len(cfg.DMs)
 	}
 	return cfg.TrialLo, cfg.TrialHi
-}
-
-// batchSearch is one batch search over the staged observation: its
-// read-only inputs and the per-trial output slots its tasks fill. Each trial
-// belongs to exactly one task, so every slot is written once and the
-// grid-order fold is deterministic for any worker count.
-type batchSearch struct {
-	cfg       Config
-	cm        *chanMajor
-	tabs      *shiftTables
-	widths    []int
-	threshold float64
-	tsamp     float64
-	sc        *stageClock
-	perTrial  [][]spe.SPE
-	searched  []int64
-}
-
-// detect runs trial i's dedispersed series through normalise and boxcar
-// into its output slot and returns the two kernels' busy times.
-func (b *batchSearch) detect(i int, series []float64, ks *kernelScratch) (norm, box time.Duration) {
-	t0 := time.Now()
-	ks.nsum, ks.nsq = normalizeInto(series, b.cfg.NormWindow, ks.nsum, ks.nsq)
-	t1 := time.Now()
-	ks.lad = ladderFor(ks.lad, b.widths)
-	b.searched[i] = int64(len(series))
-	b.perTrial[i] = trialEvents(b.cfg.DMs[i], b.tsamp, ks.lad.detect(series, b.threshold))
-	return t1.Sub(t0), time.Since(t1)
-}
-
-// brute is the one-stage strategy: every trial DM in the configured trial
-// range dedisperses the full band independently, fanned out per trial on
-// the pool. Grids narrower than the pool switch to a per-time-tile fan-out
-// (bruteTiled) so the workers stay busy even on a single trial.
-func (b *batchSearch) brute(ctx context.Context) error {
-	lo, hi := trialRange(b.cfg)
-	if hi-lo < b.cfg.Exec.NumWorkers() {
-		return b.bruteTiled(ctx, lo, hi)
-	}
-	return rdd.RunParallel(ctx, b.cfg.Exec, hi-lo, func(k int) {
-		i := lo + k
-		n := b.cm.rows - b.tabs.sweeps[i]
-		if n < 1 {
-			return // sweep longer than the observation: unconstrainable trial
-		}
-		bufs := trialPool.Get().(*trialBuffers)
-		defer trialPool.Put(bufs)
-		t0 := time.Now()
-		bufs.series = dedisperse(b.cm, b.tabs.trialCh[i], 0, b.cm.nchan, 0, n, bufs.series)
-		dd := time.Since(t0)
-		norm, box := b.detect(i, bufs.series, &bufs.kernelScratch)
-		b.sc.add3(StageDedisperse, dd, StageNormalise, norm, StageBoxcar, box)
-	})
-}
-
-// bruteTiled is the brute path for trial grids narrower than the worker
-// pool: each trial's accumulation fans out across its time tiles
-// (tileRanges). Tiles write disjoint output ranges and each output sample
-// keeps the fixed ascending-channel accumulation order, so the folded
-// series — and every downstream record — is bit-identical to the per-trial
-// path for any worker count.
-func (b *batchSearch) bruteTiled(ctx context.Context, lo, hi int) error {
-	bufs := trialPool.Get().(*trialBuffers)
-	defer trialPool.Put(bufs)
-	for i := lo; i < hi; i++ {
-		n := b.cm.rows - b.tabs.sweeps[i]
-		if n < 1 {
-			continue // sweep longer than the observation: unconstrainable trial
-		}
-		t0 := time.Now()
-		if cap(bufs.series) < n {
-			bufs.series = make([]float64, n)
-		}
-		series := bufs.series[:n]
-		clear(series)
-		tiles := tileRanges(n)
-		if err := rdd.RunParallel(ctx, b.cfg.Exec, len(tiles), func(j int) {
-			accumulate(b.cm, b.tabs.trialCh[i], 0, b.cm.nchan, 0, tiles[j][0], tiles[j][1], series)
-		}); err != nil {
-			return err
-		}
-		dd := time.Since(t0)
-		norm, box := b.detect(i, series, &bufs.kernelScratch)
-		b.sc.add3(StageDedisperse, dd, StageNormalise, norm, StageBoxcar, box)
-	}
-	return nil
-}
-
-// subband is the two-stage strategy (DESIGN.md §6): fine trials group by
-// their assigned nominal DM, and the fan-out unit is one nominal — stage 1
-// dedisperses the subbands once, then every assigned fine trial combines,
-// normalises and matched-filters in the same task.
-func (b *batchSearch) subband(ctx context.Context, plan *SubbandPlan) error {
-	groups := plan.nominalGroups()
-	lo, hi := trialRange(b.cfg)
-	if lo != 0 || hi != len(b.cfg.DMs) {
-		// Restricted search: drop out-of-range fine trials from every
-		// nominal group. Stage 1 (and the group→nominal geometry) is built
-		// from the full grid, so the surviving trials' series are
-		// bit-identical to an unrestricted run's.
-		filtered := make([][]int, len(groups))
-		for k, g := range groups {
-			for _, i := range g {
-				if i >= lo && i < hi {
-					filtered[k] = append(filtered[k], i)
-				}
-			}
-		}
-		groups = filtered
-	}
-	return rdd.RunParallel(ctx, b.cfg.Exec, len(groups), func(k int) {
-		if len(groups[k]) == 0 {
-			return
-		}
-		bufs := subbandPool.Get().(*subbandBuffers)
-		defer subbandPool.Put(bufs)
-		// The two dedispersion stages interleave with the per-trial
-		// downstream kernels inside dedisperseNominal, so dedisperse
-		// time is the group total minus the timed callback kernels.
-		var norm, box time.Duration
-		t0 := time.Now()
-		plan.dedisperseNominal(b.cm, b.tabs, k, groups[k], bufs, func(i int, series []float64) {
-			dn, db := b.detect(i, series, &bufs.kernelScratch)
-			norm, box = norm+dn, box+db
-		})
-		b.sc.add3(StageDedisperse, time.Since(t0)-norm-box, StageNormalise, norm, StageBoxcar, box)
-	})
-}
-
-// trialEvents converts one trial's detections to SPE events (nil when the
-// trial found nothing).
-func trialEvents(dm, tsampSec float64, dets []Detection) []spe.SPE {
-	if len(dets) == 0 {
-		return nil
-	}
-	events := make([]spe.SPE, len(dets))
-	for k, d := range dets {
-		events[k] = spe.SPE{
-			DM:       dm,
-			SNR:      d.SNR,
-			Time:     float64(d.Center()) * tsampSec,
-			Sample:   int64(d.Center()),
-			Downfact: d.Width,
-		}
-	}
-	return events
 }
 
 // MaxTrials bounds a trial-DM grid: LinearDMs refuses a longer one, and

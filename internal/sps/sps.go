@@ -23,14 +23,16 @@
 // per-task buffers reused through a sync.Pool so steady-state search
 // allocates nothing per trial.
 //
-// The whole pipeline also runs as a bounded-memory block stream
-// (DESIGN.md §7): BlockReader yields fixed-size gulps with the dispersion
-// overlap carried between them, SearchStream/SearchBlocks/SearchFilterbank
-// drive stateful per-trial kernels across them, and the emitted events
-// are record-for-record identical to the batch Search for any block size
-// and worker count — which is what lets observations of unbounded length
-// (or live feeds with no declared length) be searched in a fixed
-// footprint.
+// One driver runs every search (DESIGN.md §7): the observation arrives as
+// blocks — fixed-size gulps from BlockReader with the dispersion overlap
+// carried between them, or one block holding a whole in-memory observation
+// — and SearchFilterbank/SearchStream/SearchBlocks run it, with Search
+// collecting the result. One gulp runs every trial's whole series through
+// the kernels at once; more gulps drive stateful per-trial kernels across
+// them, and the emitted events are record-for-record identical for any
+// block size and worker count — which is what lets observations of
+// unbounded length (or live feeds with no declared length) be searched in
+// a fixed footprint.
 package sps
 
 import (

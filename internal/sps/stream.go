@@ -14,33 +14,36 @@ import (
 	"drapid/internal/spe"
 )
 
-// This file is the streaming half of the search frontend (DESIGN.md §7):
-// the same dedisperse → normalise → matched-filter pipeline as Search, but
-// consuming the observation as fixed-size blocks with the dispersion
-// overlap carried between them, so peak memory is bounded by the block
-// size (plus the sweep and the normalisation window) no matter how long
-// the observation runs. The contract is strict equivalence: for any block
-// size and any worker count the emitted event stream is record-for-record
-// identical to the batch path, because every kernel carries exactly the
-// state the batch computation would have had at the block boundary — the
-// last NormWindow raw samples and their absolute prefix totals for
-// Normalize, the last maxW normalised samples and the undecided scan
-// positions for BoxcarDetect, and the overlap rows for the dedispersion
-// kernels — and re-runs the batch kernels over [carried tail | new segment]
-// in worker-owned scratch. Per-trial state is O(NormWindow + maxW),
-// independent of the gulp size and of the observation length.
+// This file is the search driver (DESIGN.md §7): the dedisperse →
+// normalise → matched-filter pipeline over the observation as fixed-size
+// blocks with the dispersion overlap carried between them, so peak memory
+// is bounded by the block size (plus the sweep and the normalisation
+// window) no matter how long the observation runs. One block holding the
+// whole observation is the one-gulp search: each trial's whole series runs
+// through Normalize's and BoxcarDetect's kernels directly. The contract is
+// strict equivalence: for any block size and any worker count the emitted
+// event stream is record-for-record identical to the one-gulp search,
+// because every kernel carries exactly the state the whole-series
+// computation would have had at the block boundary — the last NormWindow
+// raw samples and their absolute prefix totals for Normalize, the last maxW
+// normalised samples and the undecided scan positions for BoxcarDetect, and
+// the overlap rows for the dedispersion kernels — and re-runs the same
+// kernels over [carried tail | new segment] in worker-owned scratch.
+// Per-trial state is O(NormWindow + maxW), independent of the gulp size and
+// of the observation length, and the driver refuses a search whose carries
+// would exceed the values Read accepts.
 
-// DefaultNormWindow is the running-normalisation window (in samples) the
-// streaming driver substitutes when Config.NormWindow is zero: the batch
+// DefaultNormWindow is the running-normalisation window (in samples) a
+// gulped search substitutes when Config.NormWindow is zero: the one-gulp
 // default — global moments — needs the whole series, which bounded-memory
-// streaming cannot hold. Set NormWindow explicitly to compare the two
-// paths event-for-event.
+// gulps cannot hold. Set NormWindow explicitly to compare the two
+// event-for-event.
 const DefaultNormWindow = 2048
 
 // streamChunk is the length of the sub-chunks a gulp's dedispersed series
-// is walked in: the tile every batch kernel walks too. The prefix sums and
-// the boxcar ladder of one sub-chunk (plus the carried tails) live in
-// worker-owned scratch (kernelScratch), so the kernels' working set stays
+// is walked in: the tile every whole-series kernel walks too. The prefix
+// sums and the boxcar ladder of one sub-chunk (plus the carried tails) live
+// in worker-owned scratch (kernelScratch), so the kernels' working set stays
 // L2-resident whatever the gulp size — BoxDIT's tile-sized partial sums
 // owned by the compute unit, not by the series.
 const streamChunk = tileSamples
@@ -49,8 +52,8 @@ const streamChunk = tileSamples
 // carries only the last min(n, window) raw samples and the absolute prefix
 // sums of x and x² at the first of them; each feed re-accumulates the prefix
 // sums of [tail | segment] sequentially from those totals in worker scratch —
-// the same additions in the same order as the batch prefix pass, so the
-// moments are bit-identical — and emits sample i as soon as its centred
+// the same additions in the same order as the whole-series prefix pass, so
+// the moments are bit-identical — and emits sample i as soon as its centred
 // window fits in the data seen so far.
 type normStream struct {
 	window, half int
@@ -109,7 +112,7 @@ func (ns *normStream) feed(seg []float64, ks *kernelScratch, out []float64) []fl
 
 // finish flushes the unemitted samples with Normalize's end-clamped
 // windows. Every one of them — the last window−half−1 samples, or the whole
-// of a series shorter than the window (the batch path's global-moments
+// of a series shorter than the window (Normalize's global-moments
 // degeneration) — is clamped to the same window: exactly the carried tail.
 func (ns *normStream) finish(ks *kernelScratch, out []float64) []float64 {
 	x := ns.tail
@@ -135,20 +138,20 @@ type rawScan struct {
 }
 
 // boxStream is BoxcarDetect as an incremental state machine over the same
-// BoxDIT ladder the batch detector runs (DESIGN.md §11). Per trial it
+// BoxDIT ladder the whole-series detector runs (DESIGN.md §11). Per trial it
 // carries only the last min(n, maxW) normalised samples, each width's scan
 // state and the pending overlap chains; each feed rebuilds the window sums
 // of [tail | new samples] with boxLadder.compute in the worker's ladder.
 // Every S_w[t] comes from the unchanged splitWidth tree, whose value depends
 // on w and the z-values only, never on the buffer offset, so decisions (made
-// on the raw sums against threshold·√w, exactly the batch basis) are
+// on the raw sums against threshold·√w, exactly the whole-series basis) are
 // bit-identical. Each requested width decides start position t once the sum
 // at t+1 is computable; the cross-width overlap merge resolves lazily:
 // candidates stay pending until their whole overlap chain lies behind every
-// width's scan frontier, at which point chain-local merging equals the batch
-// path's global mergeDetections (windows never overlap across chains, and
-// the greedy best-first suppression never interacts across disjoint
-// windows).
+// width's scan frontier, at which point chain-local merging equals the
+// whole series' global mergeDetections (windows never overlap across
+// chains, and the greedy best-first suppression never interacts across
+// disjoint windows).
 type boxStream struct {
 	widths  []int // requested widths (shared, read-only): the worker ladder's key
 	scans   []rawScan
@@ -296,14 +299,14 @@ func (st *streamState) feed(tsamp float64, seg []float64, ks *kernelScratch) {
 		norm, box = norm+dn, box+db
 		seg = seg[m:]
 	}
-	st.collect(tsamp)
+	st.collect(tsamp, st.box.take())
 	st.clock.add3(StageNormalise, norm, StageBoxcar, box, "", 0)
 }
 
 // finish flushes the normalisation tail and the final boxcar decisions.
 func (st *streamState) finish(tsamp float64, ks *kernelScratch) {
 	norm, box := st.step(nil, ks, true)
-	st.collect(tsamp)
+	st.collect(tsamp, st.box.take())
 	st.clock.add3(StageNormalise, norm, StageBoxcar, box, "", 0)
 }
 
@@ -324,8 +327,10 @@ func (st *streamState) step(seg []float64, ks *kernelScratch, last bool) (norm, 
 	return t1.Sub(t0), time.Since(t1)
 }
 
-func (st *streamState) collect(tsamp float64) {
-	for _, d := range st.box.take() {
+// collect appends the finalised detections to the trial's events.
+func (st *streamState) collect(tsamp float64, dets []Detection) {
+	st.events = slices.Grow(st.events, len(dets))
+	for _, d := range dets {
 		c := d.Center()
 		st.events = append(st.events, spe.SPE{
 			DM: st.dm, SNR: d.SNR,
@@ -368,12 +373,8 @@ func (ms *memSource) Next() (*Block, error) {
 		rows = n - start
 		ms.done = true
 	}
-	fresh := ms.overlap
-	if ms.k == 0 {
-		fresh = 0
-	}
 	ms.cur = Block{
-		Start: start, Rows: rows, Fresh: fresh, Last: ms.done,
+		Start: start, Rows: rows, Last: ms.done,
 		Data: ms.fb.Data[start*ms.fb.NChans : (start+rows)*ms.fb.NChans],
 	}
 	ms.k++
@@ -396,22 +397,24 @@ func blockSpan(blk *Block, block, sweep int) (int, int) {
 }
 
 // emitReady drains every finalised event that can no longer be preceded by
-// a future one — centre before the global watermark, the minimum over
-// trials of each trial's earliest possible unemitted event — and hands
-// them to emit in the batch path's exact output order (SortByTime: time
-// ascending, ties by DM). The events are gathered in the driver-owned
-// *batch, reused gulp after gulp: emit must not retain the slice.
-func emitReady(trials []*streamState, all bool, emit func([]spe.SPE) error, stats *Stats, batch *[]spe.SPE) error {
+// a future one — centre before the global watermark, the minimum over the
+// carrying trials of each one's earliest possible unemitted event (a trial
+// without carries has decided everything) — and hands them to emit in
+// Search's output order (SortByTime: time ascending, ties by DM). The
+// events are gathered in the driver-owned *batch, reused gulp after gulp:
+// emit must not retain the slice.
+func emitReady(trials []streamState, all bool, emit func([]spe.SPE) error, stats *Stats, batch *[]spe.SPE) error {
 	out := (*batch)[:0]
 	wm := int64(math.MaxInt64)
 	if !all {
-		for _, st := range trials {
-			if h := int64(st.box.horizon()); h < wm {
-				wm = h
+		for k := range trials {
+			if box := trials[k].box; box != nil {
+				wm = min(wm, int64(box.horizon()))
 			}
 		}
 	}
-	for _, st := range trials {
+	for k := range trials {
+		st := &trials[k]
 		n := 0
 		for n < len(st.events) && st.events[n].Sample < wm {
 			n++
@@ -430,13 +433,17 @@ func emitReady(trials []*streamState, all bool, emit func([]spe.SPE) error, stat
 	return emit(out)
 }
 
-// searchBlockStream is the streaming driver shared by SearchStream,
-// SearchBlocks, SearchFilterbank and Search-with-BlockSamples: it opens
-// the block source once the required overlap is known, fans each block out
-// on the rdd pool (per trial on the brute path, per nominal on the subband
-// path — per-trial state is touched only by its own task, so any worker
-// count folds identically), and emits watermark-ordered event batches
-// between blocks.
+// searchBlockStream is the one search driver, behind Search,
+// SearchFilterbank, SearchStream and SearchBlocks. It opens the block source
+// once the required overlap is known, fans each block out on the rdd pool
+// (per trial on the brute path, per nominal on the subband path, per time
+// tile of each trial when a brute trial range is narrower than the pool —
+// per-trial state is touched only by its own task, so any worker count folds
+// identically), and emits watermark-ordered event batches between blocks.
+// Only the trials of Config's range get state. A first block that is also
+// the last — the one-gulp search — holds every trial's whole series, which
+// runs through the whole-series kernels with no carries; any other block
+// advances each trial's carries.
 func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (blockSource, error), cfg Config, emit func([]spe.SPE) error) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -445,31 +452,38 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 	if err := hdr.Validate(); err != nil {
 		return stats, err
 	}
-	if cfg.TrialLo != 0 || cfg.TrialHi != 0 {
-		return stats, fmt.Errorf("sps: the streaming search does not support a trial range (TrialLo/TrialHi); restrict batch searches only")
-	}
 	widths, threshold, sub, planDesc, err := resolveSearch(hdr, cfg)
 	if err != nil {
 		return stats, err
 	}
 	stats.Plan = planDesc
+	if cfg.BlockSamples < 0 {
+		return stats, fmt.Errorf("sps: BlockSamples must be >= 0, got %d", cfg.BlockSamples)
+	}
+	lo, hi := trialRange(cfg)
+	window := cfg.NormWindow
+	if cfg.BlockSamples > 0 {
+		if window <= 0 {
+			window = DefaultNormWindow
+		}
+		// Each trial may come to carry window raw and maxW normalised
+		// samples; bound their total as Read bounds an observation.
+		maxW := widths[len(widths)-1]
+		if carry := min(window, maxSamples) + min(maxW, maxSamples); carry > maxSamples/(hi-lo) {
+			return stats, fmt.Errorf("sps: %d trials carrying a %d-sample normalisation window and a %d-sample boxcar exceed %d values; search in one gulp (BlockSamples 0) or narrow them",
+				hi-lo, window, maxW, maxSamples)
+		}
+	}
 	tabs := buildShiftTables(hdr, cfg.DMs, sub)
 	overlap := tabs.overlap
-	if cfg.BlockSamples < 1 {
-		return stats, fmt.Errorf("sps: streaming search needs BlockSamples >= 1, got %d", cfg.BlockSamples)
-	}
-	if cfg.BlockSamples < overlap {
+	if cfg.BlockSamples > 0 && cfg.BlockSamples < overlap {
 		return stats, fmt.Errorf("sps: block of %d samples is smaller than the %d-sample dispersion sweep of trial DM %g; streaming needs BlockSamples >= %d",
 			cfg.BlockSamples, overlap, cfg.DMs[len(cfg.DMs)-1], overlap)
 	}
-	window := cfg.NormWindow
-	if window <= 0 {
-		window = DefaultNormWindow
-	}
 	sc := newStageClock()
-	trials := make([]*streamState, len(cfg.DMs))
-	for i, dm := range cfg.DMs {
-		trials[i] = &streamState{dm: dm, sweep: tabs.sweeps[i], norm: newNormStream(window), box: newBoxStream(widths, threshold), clock: sc}
+	trials := make([]streamState, hi-lo)
+	for k := range trials {
+		trials[k] = streamState{dm: cfg.DMs[lo+k], sweep: tabs.sweeps[lo+k], clock: sc}
 	}
 	src, err := open(overlap)
 	if err != nil {
@@ -477,14 +491,30 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 	}
 	var groups [][]int
 	if sub != nil {
-		groups = sub.nominalGroups()
+		groups = sub.nominalGroups(lo, hi)
+	}
+	tsamp := hdr.TsampSec
+	// detect runs trial st's output samples of the block through normalise
+	// and boxcar: through the carries on a gulped search, or, without them,
+	// as the whole series at once.
+	detect := func(st *streamState, series []float64, ks *kernelScratch) {
+		if st.norm != nil {
+			st.feed(tsamp, series, ks)
+			return
+		}
+		st.fed += int64(len(series))
+		t0 := time.Now()
+		ks.nsum, ks.nsq = normalizeInto(series, window, ks.nsum, ks.nsq)
+		t1 := time.Now()
+		ks.lad = ladderFor(ks.lad, widths)
+		st.collect(tsamp, ks.lad.detect(series, threshold))
+		sc.add3(StageNormalise, t1.Sub(t0), StageBoxcar, time.Since(t1), "", 0)
 	}
 	var batch []spe.SPE // emitReady's reused gather buffer
 	// Each gulp is staged channel-major once and shared read-only by every
-	// trial's (or nominal's) task — the staging cost amortises over the
-	// whole trial grid exactly as on the batch path.
+	// trial's (or nominal's) task, so the staging cost amortises over the
+	// whole trial grid.
 	cm := &chanMajor{}
-	tsamp := hdr.TsampSec
 	for {
 		tRead := time.Now()
 		blk, err := src.Next()
@@ -495,14 +525,21 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 		if err != nil {
 			return stats, err
 		}
-		// The zero-DM filter fuses into the staging as on the batch path.
-		// Row means are per row, so the carried overlap rows — raw bytes
-		// again in this gulp — recompute bit-identically, and no row is
-		// ever filtered twice.
+		if blk.Start == 0 && !blk.Last {
+			// A gulped search: every trial carries its kernels' state
+			// from block to block.
+			for k := range trials {
+				trials[k].norm, trials[k].box = newNormStream(window), newBoxStream(widths, threshold)
+			}
+		}
+		// The zero-DM filter fuses into the staging. Row means are per
+		// row, so the carried overlap rows — raw bytes again in this gulp
+		// — recompute bit-identically, and no row is ever filtered twice.
 		if err := cm.stage(ctx, cfg.Exec, blk.Data, blk.Rows, hdr.NChans, cfg.ZeroDM, sc); err != nil {
 			return stats, err
 		}
-		if sub != nil {
+		switch {
+		case sub != nil:
 			err = rdd.RunParallel(ctx, cfg.Exec, len(groups), func(k int) {
 				if len(groups[k]) == 0 {
 					return
@@ -511,9 +548,9 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 				defer subbandPool.Put(bufs)
 				td := time.Now()
 				bufs.sub = sub.stage1(cm, tabs.nomCh[k], tabs.nomIntra[k], bufs.sub)
-				var dd time.Duration = time.Since(td)
+				dd := time.Since(td)
 				for _, i := range groups[k] {
-					st := trials[i]
+					st := &trials[i-lo]
 					outLo, outHi := blockSpan(blk, cfg.BlockSamples, st.sweep)
 					if outHi <= outLo {
 						continue
@@ -521,13 +558,15 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 					tc := time.Now()
 					bufs.combined = combine(bufs.sub, tabs.trialSub[i], blk.Start, outLo, outHi, bufs.combined)
 					dd += time.Since(tc)
-					st.feed(tsamp, bufs.combined, &bufs.kernelScratch)
+					detect(st, bufs.combined, &bufs.kernelScratch)
 				}
 				sc.add(StageDedisperse, dd)
 			})
-		} else {
-			err = rdd.RunParallel(ctx, cfg.Exec, len(trials), func(i int) {
-				st := trials[i]
+		case len(trials) < cfg.Exec.NumWorkers():
+			err = searchTiled(ctx, cfg.Exec, cm, blk, cfg.BlockSamples, tabs.trialCh[lo:hi], trials, sc, detect)
+		default:
+			err = rdd.RunParallel(ctx, cfg.Exec, len(trials), func(k int) {
+				st := &trials[k]
 				outLo, outHi := blockSpan(blk, cfg.BlockSamples, st.sweep)
 				if outHi <= outLo {
 					return
@@ -535,9 +574,9 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 				bufs := trialPool.Get().(*trialBuffers)
 				defer trialPool.Put(bufs)
 				td := time.Now()
-				bufs.series = dedisperse(cm, tabs.trialCh[i], 0, cm.nchan, outLo-blk.Start, outHi-outLo, bufs.series)
+				bufs.series = dedisperse(cm, tabs.trialCh[lo+k], 0, cm.nchan, outLo-blk.Start, outHi-outLo, bufs.series)
 				sc.add(StageDedisperse, time.Since(td))
-				st.feed(tsamp, bufs.series, &bufs.kernelScratch)
+				detect(st, bufs.series, &bufs.kernelScratch)
 			})
 		}
 		if err != nil {
@@ -547,10 +586,13 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 			return stats, err
 		}
 	}
-	if err := rdd.RunParallel(ctx, cfg.Exec, len(trials), func(i int) {
+	if err := rdd.RunParallel(ctx, cfg.Exec, len(trials), func(k int) {
+		if trials[k].norm == nil {
+			return // the one gulp left nothing undecided
+		}
 		bufs := trialPool.Get().(*trialBuffers)
 		defer trialPool.Put(bufs)
-		trials[i].finish(tsamp, &bufs.kernelScratch)
+		trials[k].finish(tsamp, &bufs.kernelScratch)
 	}); err != nil {
 		return stats, err
 	}
@@ -567,10 +609,45 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 	return stats, nil
 }
 
+// searchTiled is the brute path for trial ranges narrower than the worker
+// pool: each trial's accumulation over the block fans out across the time
+// tiles of its output span (tileRanges), so the workers stay busy even on
+// a single trial. Tiles write disjoint output ranges and each output sample
+// keeps the fixed ascending-channel accumulation order, so the series — and
+// every downstream record — is bit-identical to the per-trial fan-out for
+// any worker count.
+func searchTiled(ctx context.Context, exec rdd.ExecConfig, cm *chanMajor, blk *Block, block int, shifts [][]int, trials []streamState, sc *stageClock, detect func(*streamState, []float64, *kernelScratch)) error {
+	bufs := trialPool.Get().(*trialBuffers)
+	defer trialPool.Put(bufs)
+	for k := range trials {
+		st := &trials[k]
+		outLo, outHi := blockSpan(blk, block, st.sweep)
+		if outHi <= outLo {
+			continue
+		}
+		td := time.Now()
+		n := outHi - outLo
+		if cap(bufs.series) < n {
+			bufs.series = make([]float64, n)
+		}
+		series := bufs.series[:n]
+		clear(series)
+		tiles := tileRanges(n)
+		if err := rdd.RunParallel(ctx, exec, len(tiles), func(j int) {
+			accumulate(cm, shifts[k], 0, cm.nchan, outLo-blk.Start, tiles[j][0], tiles[j][1], series)
+		}); err != nil {
+			return err
+		}
+		sc.add(StageDedisperse, time.Since(td))
+		detect(st, series, &bufs.kernelScratch)
+	}
+	return nil
+}
+
 // SearchStream runs the streaming search over a SIGPROC byte stream —
 // header parsed eagerly, data consumed in cfg.BlockSamples gulps — and
 // emits event batches as blocks complete, in exactly the order (and with
-// exactly the records) the batch Search would return. The driver reuses one
+// exactly the records) Search would return. The driver reuses one
 // buffer for every batch: the slice passed to emit is only valid until emit
 // returns, so a consumer that keeps events must copy them. The returned
 // Header is available to emit callbacks only through closure over the first
@@ -589,19 +666,23 @@ func SearchStream(ctx context.Context, r io.Reader, cfg Config, emit func([]spe.
 // SearchBlocks is SearchStream for a reader already positioned at the
 // first data byte of an observation with the given header — the entry
 // point for callers (the engine, the HTTP stream endpoint) that parse the
-// header first to derive keys and feature parameters. As with SearchStream,
-// the batch is only valid until emit returns.
+// header first to derive keys and feature parameters. A reader is always
+// gulped: BlockSamples must be >= 1. As with SearchStream, the batch is
+// only valid until emit returns.
 func SearchBlocks(ctx context.Context, hdr Header, data io.Reader, cfg Config, emit func([]spe.SPE) error) (Stats, error) {
+	if cfg.BlockSamples < 1 {
+		return Stats{}, fmt.Errorf("sps: streaming search needs BlockSamples >= 1, got %d", cfg.BlockSamples)
+	}
 	return searchBlockStream(ctx, hdr, func(overlap int) (blockSource, error) {
 		return newBlockReaderAt(hdr, data, cfg.BlockSamples, overlap)
 	}, cfg, emit)
 }
 
-// SearchFilterbank runs the streaming driver over a filterbank already in
-// memory, serving it as zero-copy blocks — the path Search takes when
-// cfg.BlockSamples is set, and the cheapest way to check stream/batch
-// equivalence. As with SearchStream, the batch is only valid until emit
-// returns.
+// SearchFilterbank runs the search driver over a filterbank already in
+// memory, serving it as zero-copy blocks of cfg.BlockSamples samples — or,
+// when that is zero, as one block holding the whole observation. Search
+// collects its batches. As with SearchStream, the batch is only valid
+// until emit returns.
 func SearchFilterbank(ctx context.Context, fb *Filterbank, cfg Config, emit func([]spe.SPE) error) (Stats, error) {
 	var stats Stats
 	if err := fb.Validate(); err != nil {
@@ -610,7 +691,11 @@ func SearchFilterbank(ctx context.Context, fb *Filterbank, cfg Config, emit func
 	if len(fb.Data) != fb.NSamples*fb.NChans {
 		return stats, fmt.Errorf("sps: data has %d values, header says %d", len(fb.Data), fb.NSamples*fb.NChans)
 	}
+	block := cfg.BlockSamples
+	if block == 0 {
+		block = fb.NSamples
+	}
 	return searchBlockStream(ctx, fb.Header, func(overlap int) (blockSource, error) {
-		return &memSource{fb: fb, block: cfg.BlockSamples, overlap: overlap}, nil
+		return &memSource{fb: fb, block: block, overlap: overlap}, nil
 	}, cfg, emit)
 }

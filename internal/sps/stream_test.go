@@ -277,13 +277,6 @@ func TestBlockReaderGeometry(t *testing.T) {
 		if blk.Start != k*block {
 			t.Fatalf("block %d starts at %d, want %d", k, blk.Start, k*block)
 		}
-		wantFresh := overlap
-		if k == 0 {
-			wantFresh = 0
-		}
-		if blk.Fresh != wantFresh {
-			t.Fatalf("block %d Fresh = %d, want %d", k, blk.Fresh, wantFresh)
-		}
 		if len(blk.Data) != blk.Rows*nchan {
 			t.Fatalf("block %d has %d values for %d rows", k, len(blk.Data), blk.Rows)
 		}
@@ -528,6 +521,39 @@ func TestStreamStateSizeBounded(t *testing.T) {
 			if carried < window {
 				t.Fatalf("block %d gulp %d: trial carries %d float64s — the count misses the normalisation tail", block, gulp, carried)
 			}
+		}
+	}
+}
+
+// TestSearchBoundsCarriedState pins the bound on a gulped search's carried
+// state: trials × (NormWindow + the widest boxcar) may not exceed the values
+// Read accepts for a whole observation, and an over-bound search is refused
+// before any per-trial state exists — it allocates almost nothing. The
+// one-gulp search holds no carries and runs the same config.
+func TestSearchBoundsCarriedState(t *testing.T) {
+	fb := streamFixture(t)
+	dms, err := LinearDMs(0, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, cfg := range map[string]Config{
+		"window": {DMs: dms, NormWindow: 1 << 30, BlockSamples: 4096},
+		"widths": {DMs: dms, NormWindow: 2048, Widths: []int{1, 2, 4, 1 << 30}, BlockSamples: 4096},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := SearchFilterbank(ctx, fb, cfg, func([]spe.SPE) error { return nil })
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceed") {
+			t.Fatalf("%s: err = %v, want the carried-state bound", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Fatalf("%s: refusal allocated %d bytes, want it before any per-trial state", name, got)
+		}
+		cfg.BlockSamples = 0
+		if _, _, err := Search(ctx, fb, cfg); err != nil {
+			t.Fatalf("%s: one-gulp search: %v", name, err)
 		}
 	}
 }

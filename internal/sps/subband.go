@@ -336,31 +336,13 @@ func combine(series [][]float32, subShifts []int, blkStart, outLo, outHi int, ou
 	return out
 }
 
-// nominalGroups buckets the fine trial indices by their assigned nominal
-// DM — the fan-out unit of the two-stage path.
-func (p *SubbandPlan) nominalGroups() [][]int {
+// nominalGroups buckets the fine trial indices of [lo, hi) by their
+// assigned nominal DM — the fan-out unit of the two-stage path.
+func (p *SubbandPlan) nominalGroups(lo, hi int) [][]int {
 	groups := make([][]int, len(p.NominalDMs))
-	for i := range p.dms {
+	for i := lo; i < hi; i++ {
 		k := p.assign[i]
 		groups[k] = append(groups[k], i)
 	}
 	return groups
-}
-
-// dedisperseNominal is one nominal task's dedispersion of the staged
-// observation cm, shared by the batch search and the benchmark so they
-// cannot drift apart: stage 1 once for nominal index k, then stage 2 for
-// each fine trial in trials, calling each(i, series) per combined trial.
-// Trials whose sweep exceeds the observation are skipped, as on the brute
-// path.
-func (p *SubbandPlan) dedisperseNominal(cm *chanMajor, tabs *shiftTables, k int, trials []int, bufs *subbandBuffers, each func(i int, series []float64)) {
-	bufs.sub = p.stage1(cm, tabs.nomCh[k], tabs.nomIntra[k], bufs.sub)
-	for _, i := range trials {
-		n := cm.rows - tabs.sweeps[i]
-		if n < 1 {
-			continue // sweep longer than the observation: unconstrainable trial
-		}
-		bufs.combined = combine(bufs.sub, tabs.trialSub[i], 0, 0, n, bufs.combined)
-		each(i, bufs.combined)
-	}
 }
