@@ -429,23 +429,29 @@ func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sp
 			return sps.SearchBlocks(j.ctx, hdr, rd, cfg, emit)
 		}}, nil
 	}
+	// An ingested observation stays encoded (fb holds only its header): the
+	// search decodes it tile by tile as it stages it.
 	ingest := j.trace.Span(sps.StageIngest)
-	var fb *sps.Filterbank
+	fb := &sps.Filterbank{}
+	var data []byte
 	var err error
 	if spec.Synth != nil {
 		fb, err = sps.Generate(spec.Synth.internal())
 	} else {
-		fb, err = sps.Read(bytes.NewReader(spec.Filterbank))
+		fb.Header, data, err = sps.ParseRaw(spec.Filterbank)
 	}
 	if err != nil {
 		ingest.End()
 		return nil, fmt.Errorf("drapid: reading filterbank: %w", err)
 	}
 	ingest.SetRecords(0, int64(fb.NSamples))
-	ingest.AddBytes(int64(len(fb.Data)) * 4)
+	ingest.AddBytes(int64(len(data) + 4*len(fb.Data)))
 	ingest.End()
 	return &eventSource{hdr: fb.Header, single: cfg.BlockSamples == 0, run: func(emit func([]spe.SPE) error) (sps.Stats, error) {
-		return sps.SearchFilterbank(j.ctx, fb, cfg, emit)
+		if spec.Synth != nil {
+			return sps.SearchFilterbank(j.ctx, fb, cfg, emit)
+		}
+		return sps.SearchRaw(j.ctx, fb.Header, data, cfg, emit)
 	}}, nil
 }
 

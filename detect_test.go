@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -469,4 +471,50 @@ func TestDetectJobCancel(t *testing.T) {
 	if s := job.State(); s != drapid.JobCancelled {
 		t.Fatalf("state = %v", s)
 	}
+}
+
+// TestDetectHoldsObservationOnce is the memory gate of the in-memory detect
+// path: a one-gulp job over an ingested 32-bit observation allocates its
+// channel-major staging — one float32 copy of the data — and not a decoded
+// sample-major twin beside it, because the search decodes the caller's
+// bytes tile by tile as it stages them. GC is off while measuring, so
+// pooled scratch stays pooled after a warm-up job; the best of three jobs
+// must stay under 1.5 copies.
+func TestDetectHoldsObservationOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch under -race")
+	}
+	const nchans, nsamples = 128, 32768 // 16 MiB of float32
+	raw, err := drapid.GenerateFilterbank(drapid.SynthSpec{
+		NChans: nchans, NSamples: nsamples, TsampSec: 256e-6, Fch1MHz: 1500, FoffMHz: -2, Seed: 3,
+		Pulses: []drapid.InjectedPulse{{TimeSec: 4, DM: 12, WidthMs: 2, SNR: 20}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := drapid.New(drapid.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	spec := drapid.DetectJob{Filterbank: raw, DMMax: 20, DMStep: 1, Threshold: 8}
+	alloc := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runDetectJob(t, engine, spec)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	alloc() // warm the scratch pools
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		best = min(best, alloc())
+	}
+	copyBytes := uint64(4 * nchans * nsamples)
+	if best >= copyBytes*3/2 {
+		t.Fatalf("one-gulp detect allocated %d bytes, %.2f float32 copies of the %d-byte observation; want < 1.5",
+			best, float64(best)/float64(copyBytes), copyBytes)
+	}
+	t.Logf("one-gulp detect allocated %.2f float32 copies of the observation", float64(best)/float64(copyBytes))
 }

@@ -1,7 +1,6 @@
 package drapid
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -368,12 +367,13 @@ func (e *Engine) fleetSource(j *Job, spec DetectJob, grid *dmgrid.Grid) (*eventS
 			return nil, fmt.Errorf("drapid: generating observation: %w", err)
 		}
 	}
-	fb, err := sps.Read(bytes.NewReader(raw))
+	// The header is all the coordinator decodes: shards carry or cut bytes.
+	hdr, _, err := sps.ParseRaw(raw)
 	if err != nil {
 		ingest.End()
 		return nil, fmt.Errorf("drapid: reading filterbank: %w", err)
 	}
-	ingest.SetRecords(0, int64(fb.NSamples))
+	ingest.SetRecords(0, int64(hdr.NSamples))
 	ingest.AddBytes(int64(len(raw)))
 	ingest.End()
 	search := fleet.SearchSpec{
@@ -386,14 +386,14 @@ func (e *Engine) fleetSource(j *Job, spec DetectJob, grid *dmgrid.Grid) (*eventS
 	timeOrder := spec.ShardBy == ShardByTime
 	var shards []fleet.ShardSpec
 	if timeOrder {
-		if shards, err = fleet.PlanTime(j.id, fb, grid.Trials(), search, spec.Shards); err != nil {
+		if shards, err = fleet.PlanTime(j.id, raw, grid.Trials(), search, spec.Shards); err != nil {
 			return nil, err
 		}
 	} else {
 		shards = fleet.PlanDM(j.id, raw, grid.Trials(), search, spec.Shards)
 	}
 	j.setFleet(FleetProgress{Workers: e.coord.Workers(), Shards: len(shards)})
-	src := &eventSource{hdr: fb.Header, single: !timeOrder}
+	src := &eventSource{hdr: hdr, single: !timeOrder}
 	src.run = func(emit func([]spe.SPE) error) (sps.Stats, error) {
 		stats, status, err := e.coord.Run(j.ctx, shards, emit, fleet.RunOptions{
 			TimeOrder:  timeOrder,

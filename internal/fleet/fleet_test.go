@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -140,11 +143,11 @@ func collectShard(s ShardSpec) ([]spe.SPE, sps.Stats, error) {
 // unsharded run exactly on (Sample, DM, Downfact) — only seam-adjacent
 // detections may differ, by ulp-level normalisation drift.
 func TestTimeShardingNearExact(t *testing.T) {
-	fb, _ := testObservation(t)
+	fb, raw := testObservation(t)
 	dms := testGrid()
 	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
 	want := unshardedEvents(t, fb, search, dms)
-	shards, err := PlanTime("job", fb, dms, search, 3)
+	shards, err := PlanTime("job", raw, dms, search, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +194,62 @@ func TestTimeShardingNearExact(t *testing.T) {
 
 // TestPlanTimeRequiresNormWindow pins the documented restriction.
 func TestPlanTimeRequiresNormWindow(t *testing.T) {
-	fb, _ := testObservation(t)
-	if _, err := PlanTime("job", fb, testGrid(), SearchSpec{Threshold: 6}, 2); err == nil {
+	_, raw := testObservation(t)
+	if _, err := PlanTime("job", raw, testGrid(), SearchSpec{Threshold: 6}, 2); err == nil {
 		t.Fatal("PlanTime accepted NormWindow = 0")
+	}
+}
+
+// TestPlanTimeSlicesBytes pins the byte-level time slicing against the
+// decode-and-re-encode oracle it replaced: for both sample widths every
+// shard's bytes equal sps.Write of the decoded slice, so shard digests —
+// and blob-cache behaviour — are those of the decoding planner.
+func TestPlanTimeSlicesBytes(t *testing.T) {
+	dms := testGrid()
+	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
+	for _, nbits := range []int{8, 32} {
+		fb, err := sps.Generate(sps.SynthConfig{NChans: 33, NSamples: 9001, TsampSec: 256e-6, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb.NBits = nbits
+		var buf bytes.Buffer
+		if err := sps.Write(&buf, fb); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		shards, err := PlanTime("job", raw, dms, search, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) < 2 {
+			t.Fatalf("nbits %d: %d shards, want >= 2", nbits, len(shards))
+		}
+		// The oracle: decode the whole observation, re-encode each slice.
+		obs, err := sps.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range shards {
+			rows := s.Filterbank
+			lo := int(s.SampleOff)
+			hdr, _, err := sps.ParseRaw(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slice := &sps.Filterbank{Header: obs.Header, Data: obs.Data[lo*obs.NChans : (lo+hdr.NSamples)*obs.NChans]}
+			slice.NSamples = hdr.NSamples
+			var want bytes.Buffer
+			if err := sps.Write(&want, slice); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rows, want.Bytes()) {
+				t.Fatalf("nbits %d shard %d: %d sliced bytes differ from the %d-byte re-encoded slice", nbits, s.Index, len(rows), want.Len())
+			}
+			if s.FilterbankDigest != Digest(want.Bytes()) {
+				t.Fatalf("nbits %d shard %d: digest differs from the re-encoded slice's", nbits, s.Index)
+			}
+		}
 	}
 }
 
@@ -521,5 +577,54 @@ func TestShardSpecValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%s: Validate accepted %+v", name, bad)
 		}
+	}
+}
+
+// TestRunShardHoldsObservationOnce is the shard's memory gate: searching
+// a 16 MiB 32-bit blob allocates its channel-major staging — one float32
+// copy — and no decoded twin of the blob, because the search decodes the
+// bytes tile by tile as it stages them. GC is off while measuring, so
+// pooled scratch stays pooled after a warm-up run; the best of three runs
+// must stay under 1.5 copies.
+func TestRunShardHoldsObservationOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch under -race")
+	}
+	const nchans, nsamples = 128, 32768
+	fb, err := sps.Generate(sps.SynthConfig{NChans: nchans, NSamples: nsamples, TsampSec: 256e-6, Fch1MHz: 1500, FoffMHz: -2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sps.Write(&buf, fb); err != nil {
+		t.Fatal(err)
+	}
+	fb = nil
+	dms := make([]float64, 21)
+	for i := range dms {
+		dms[i] = float64(i)
+	}
+	shard := PlanDM("job", buf.Bytes(), dms, SearchSpec{Threshold: 8, ZeroDM: true}, 2)[0]
+	exec := rdd.ExecConfig{Workers: 2}
+	alloc := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RunShard(context.Background(), shard, exec, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	alloc() // warm the scratch pools
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		best = min(best, alloc())
+	}
+	copyBytes := uint64(4 * nchans * nsamples)
+	if best >= copyBytes*3/2 {
+		t.Fatalf("RunShard allocated %d bytes, %.2f float32 copies of the %d-byte observation; want < 1.5",
+			best, float64(best)/float64(copyBytes), copyBytes)
 	}
 }

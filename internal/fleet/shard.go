@@ -106,7 +106,7 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 		return sps.Stats{}, fmt.Errorf("fleet: shard %s/%d: blob %s not resolved to bytes",
 			spec.Job, spec.Index, spec.FilterbankDigest)
 	}
-	fb, err := sps.Read(bytes.NewReader(spec.Filterbank))
+	hdr, data, err := sps.ParseRaw(spec.Filterbank)
 	if err != nil {
 		return sps.Stats{}, fmt.Errorf("fleet: shard %s/%d: reading filterbank: %w", spec.Job, spec.Index, err)
 	}
@@ -114,7 +114,9 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 	if err != nil {
 		return sps.Stats{}, fmt.Errorf("fleet: shard %s/%d: %w", spec.Job, spec.Index, err)
 	}
-	events, stats, err := sps.Search(ctx, fb, sps.Config{
+	// The blob is searched in place, decoded tile by tile as it is staged.
+	var events []spe.SPE
+	stats, err := sps.SearchRaw(ctx, hdr, data, sps.Config{
 		DMs:        spec.DMs,
 		Widths:     spec.Search.Widths,
 		Threshold:  spec.Search.Threshold,
@@ -124,6 +126,9 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 		TrialLo:    spec.TrialLo,
 		TrialHi:    spec.TrialHi,
 		Exec:       exec,
+	}, func(batch []spe.SPE) error {
+		events = append(events, batch...)
+		return nil
 	})
 	if err != nil {
 		return stats, err
@@ -136,7 +141,7 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 				continue
 			}
 			e.Sample = g
-			e.Time = float64(g) * fb.TsampSec
+			e.Time = float64(g) * hdr.TsampSec
 			kept = append(kept, e)
 		}
 		events = kept
@@ -185,16 +190,21 @@ func PlanDM(job string, raw []byte, dms []float64, search SearchSpec, n int) []S
 }
 
 // PlanTime splits a job into up to n time shards: contiguous owned sample
-// ranges, each shipped as its slice of the observation padded by an
-// overlap that covers the largest dispersion sweep, the normalisation
-// window and the boxcar merge reach. n is clamped so every slice is long
-// enough to search every trial the whole observation can (a slice shorter
-// than the largest sweep would silently skip trials the single-engine run
-// searches). Time shards require an explicit NormWindow: whole-series
-// (global-moment) normalisation is inherently unsliceable.
-func PlanTime(job string, fb *sps.Filterbank, dms []float64, search SearchSpec, n int) ([]ShardSpec, error) {
+// ranges, each shipped as its slice of the raw observation — the header
+// with the slice's sample count, then the slice's bytes, never decoded —
+// padded by an overlap that covers the largest dispersion sweep, the
+// normalisation window and the boxcar merge reach. n is clamped so every
+// slice is long enough to search every trial the whole observation can (a
+// slice shorter than the largest sweep would silently skip trials the
+// single-engine run searches). Time shards require an explicit NormWindow:
+// whole-series (global-moment) normalisation is inherently unsliceable.
+func PlanTime(job string, raw []byte, dms []float64, search SearchSpec, n int) ([]ShardSpec, error) {
 	if search.NormWindow <= 0 {
 		return nil, fmt.Errorf("fleet: time sharding requires an explicit NormWindow (global-moment normalisation cannot be sliced)")
+	}
+	hdr, data, err := sps.ParseRaw(raw)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: reading filterbank: %w", err)
 	}
 	maxWidth := 1
 	widths := search.Widths
@@ -206,30 +216,32 @@ func PlanTime(job string, fb *sps.Filterbank, dms []float64, search SearchSpec, 
 			maxWidth = w
 		}
 	}
-	sweep := sps.MaxShift(fb.Header, dms[len(dms)-1])
+	sweep := sps.MaxShift(hdr, dms[len(dms)-1])
 	overlap := sweep + search.NormWindow + 4*maxWidth
-	if maxShards := fb.NSamples / (overlap + 1); n > maxShards {
+	if maxShards := hdr.NSamples / (overlap + 1); n > maxShards {
 		n = maxShards
 	}
 	if n < 1 {
 		n = 1
 	}
-	own := (fb.NSamples + n - 1) / n
+	own := (hdr.NSamples + n - 1) / n
+	rowBytes := hdr.NChans * hdr.NBits / 8
 	var shards []ShardSpec
 	for i := 0; i < n; i++ {
 		ownLo := i * own
-		ownHi := min((i+1)*own, fb.NSamples)
+		ownHi := min((i+1)*own, hdr.NSamples)
 		if ownHi <= ownLo {
 			continue
 		}
 		sliceLo := max(ownLo-overlap, 0)
-		sliceHi := min(ownHi+overlap, fb.NSamples)
-		slice := &sps.Filterbank{Header: fb.Header, Data: fb.Data[sliceLo*fb.NChans : sliceHi*fb.NChans]}
+		sliceHi := min(ownHi+overlap, hdr.NSamples)
+		slice := hdr
 		slice.NSamples = sliceHi - sliceLo
 		var buf bytes.Buffer
-		if err := sps.Write(&buf, slice); err != nil {
+		if err := sps.WriteHeader(&buf, slice); err != nil {
 			return nil, fmt.Errorf("fleet: slicing shard %d: %w", i, err)
 		}
+		buf.Write(data[sliceLo*rowBytes : sliceHi*rowBytes])
 		shards = append(shards, ShardSpec{
 			Job: job, Index: len(shards),
 			// Time shards carry distinct slices, so each hashes its own.

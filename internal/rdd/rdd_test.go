@@ -3,6 +3,7 @@ package rdd
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -211,17 +212,17 @@ func TestHashPartitionerDeterministicAndEqual(t *testing.T) {
 
 func TestCacheAvoidsRecompute(t *testing.T) {
 	ctx := testContext(t, 2)
-	computes := 0
+	var computes atomic.Int64 // the two partitions compute concurrently
 	r := Parallelize(ctx, ints(10), 2)
 	counted := MapPartitions(r, func(p int, tc *TaskContext, in []int) []int {
-		computes++ // safe: partitions of this tiny RDD run once per action
+		computes.Add(1)
 		return in
 	}).Cache()
 	Count(counted)
-	first := computes
+	first := computes.Load()
 	Count(counted)
-	if computes != first {
-		t.Errorf("cached dataset recomputed: %d -> %d", first, computes)
+	if n := computes.Load(); n != first {
+		t.Errorf("cached dataset recomputed: %d -> %d", first, n)
 	}
 }
 

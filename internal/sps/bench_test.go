@@ -91,7 +91,7 @@ func dedisperseAll(b *testing.B, fb *Filterbank, dms []float64, workers int, lat
 	b.Helper()
 	exec := rdd.ExecConfig{Workers: workers}
 	if cm != nil {
-		if err := cm.stage(context.Background(), exec, fb.Data, fb.NSamples, fb.NChans, false, nil); err != nil {
+		if err := cm.stage(context.Background(), exec, &Block{Rows: fb.NSamples, Data: fb.Data}, fb.NChans, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func dedisperseAll(b *testing.B, fb *Filterbank, dms []float64, workers int, lat
 func subbandDedisperseAll(b *testing.B, fb *Filterbank, plan *SubbandPlan, workers int, cm *chanMajor) {
 	b.Helper()
 	exec := rdd.ExecConfig{Workers: workers}
-	if err := cm.stage(context.Background(), exec, fb.Data, fb.NSamples, fb.NChans, false, nil); err != nil {
+	if err := cm.stage(context.Background(), exec, &Block{Rows: fb.NSamples, Data: fb.Data}, fb.NChans, false, nil); err != nil {
 		b.Fatal(err)
 	}
 	tabs := buildShiftTables(fb.Header, plan.dms, plan)

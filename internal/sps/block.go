@@ -4,31 +4,50 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Block is one gulp of a filterbank observation: Rows consecutive samples
-// starting at absolute sample index Start, in the same sample-major layout
-// Filterbank.Data uses. Consecutive blocks overlap: the first overlap rows
-// of a block repeat the tail of the previous one, carrying the dispersion
-// lookahead a block-local kernel needs, so a trial whose maximum channel
-// shift is at most the overlap can produce its output samples
-// [Start, Start+block) from this block alone. Data is reused between Next
-// calls — consume or copy it before the next call.
+// starting at absolute sample index Start, sample-major as in
+// Filterbank.Data, held decoded (Data) or as raw SIGPROC bytes (Raw) that
+// the search decodes tile by tile as it stages them. Consecutive blocks
+// overlap: the first overlap rows of a block repeat the tail of the
+// previous one, carrying the dispersion lookahead a block-local kernel
+// needs, so a trial whose maximum channel shift is at most the overlap can
+// produce its output samples [Start, Start+block) from this block alone.
+// Data and Raw are reused between Next calls — consume or copy them first.
 type Block struct {
-	// Start is the absolute sample index of Data's first row.
+	// Start is the absolute sample index of the block's first row.
 	Start int
-	// Rows is the number of samples in Data (Rows × NChans values).
+	// Rows is the number of samples in the block.
 	Rows int
 	// Last reports that no further blocks follow: Start+Rows is the total
 	// sample count of the observation.
 	Last bool
-	// Data holds the block's samples, Data[t*NChans+ch] as in Filterbank.
+	// Data holds decoded samples, Data[t*NChans+ch] as in Filterbank,
+	// when NBits is zero.
 	Data []float32
+	// Raw holds the Rows × NChans samples as little-endian NBits-wide
+	// SIGPROC values when NBits is non-zero.
+	Raw   []byte
+	NBits int
+}
+
+// values returns rows [r0, r1) of the block, sample-major: a zero-copy
+// sub-slice of Data, or those rows of Raw decoded into scratch.
+func (b *Block) values(r0, r1, nchan int, scratch *[]float32) []float32 {
+	if b.NBits == 0 {
+		return b.Data[r0*nchan : r1*nchan]
+	}
+	*scratch = slices.Grow((*scratch)[:0], (r1-r0)*nchan)[:(r1-r0)*nchan]
+	decodeValues(*scratch, b.Raw[r0*nchan*b.NBits/8:], b.NBits)
+	return *scratch
 }
 
 // BlockReader reads a SIGPROC filterbank as fixed-size gulps with a
 // dispersion-overlap region carried between them, so an observation of any
-// length is processed in memory bounded by (block+overlap) × NChans values.
+// length is processed in memory bounded by (block+overlap) × NChans raw
+// samples, carried undecoded (Block.Raw).
 // The header is parsed eagerly by NewBlockReader with the same strictness
 // as Read; data truncation (a header-declared sample count the body cannot
 // supply, or a trailing partial sample) is an error, never a short block
@@ -41,15 +60,14 @@ type BlockReader struct {
 
 	started bool
 	done    bool
-	read    int // fresh samples decoded so far
-	data    []float32
-	rows    int // rows currently held in data
-	raw     []byte
+	read    int    // fresh samples read so far
+	raw     []byte // the gulp's bytes, carried overlap rows first
+	rows    int    // rows currently held in raw
 }
 
 // NewBlockReader parses the SIGPROC header from r and prepares gulps of
 // block fresh samples each, with overlap samples carried between
-// consecutive blocks. It allocates the (block+overlap)-sample buffers up
+// consecutive blocks. It allocates the (block+overlap)-sample buffer up
 // front; the same bounds as Read apply to one gulp's value count.
 func NewBlockReader(r io.Reader, block, overlap int) (*BlockReader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -88,7 +106,6 @@ func newBlockReaderAt(hdr Header, r io.Reader, block, overlap int) (*BlockReader
 		r:       br,
 		block:   block,
 		overlap: overlap,
-		data:    make([]float32, gulp*hdr.NChans),
 		raw:     make([]byte, gulp*hdr.NChans*(hdr.NBits/8)),
 	}, nil
 }
@@ -98,14 +115,12 @@ func newBlockReaderAt(hdr Header, r io.Reader, block, overlap int) (*BlockReader
 func (br *BlockReader) Header() Header { return br.hdr }
 
 // Next returns the next block, or io.EOF after the last one. The returned
-// Block (including Data) is only valid until the following Next call.
+// Block (including Raw) is only valid until the following Next call.
 func (br *BlockReader) Next() (*Block, error) {
 	if br.done {
 		return nil, io.EOF
 	}
-	nchan := br.hdr.NChans
-	bytesPer := br.hdr.NBits / 8
-	rowBytes := nchan * bytesPer
+	rowBytes := br.hdr.NChans * br.hdr.NBits / 8
 
 	keep := 0
 	want := br.block + br.overlap
@@ -113,7 +128,7 @@ func (br *BlockReader) Next() (*Block, error) {
 		// Carry the overlap: the last overlap rows become the head of the
 		// next gulp.
 		keep = br.overlap
-		copy(br.data, br.data[(br.rows-keep)*nchan:br.rows*nchan])
+		copy(br.raw, br.raw[(br.rows-keep)*rowBytes:br.rows*rowBytes])
 		want = br.block
 	}
 	if br.hdr.NSamples > 0 {
@@ -124,7 +139,7 @@ func (br *BlockReader) Next() (*Block, error) {
 
 	got := 0
 	if want > 0 {
-		n, err := io.ReadFull(br.r, br.raw[:want*rowBytes])
+		n, err := io.ReadFull(br.r, br.raw[keep*rowBytes:(keep+want)*rowBytes])
 		switch err {
 		case nil:
 		case io.EOF, io.ErrUnexpectedEOF:
@@ -139,7 +154,6 @@ func (br *BlockReader) Next() (*Block, error) {
 			return nil, fmt.Errorf("sps: reading data block: %w", err)
 		}
 		got = n / rowBytes
-		decodeValues(br.data[keep*nchan:(keep+got)*nchan], br.raw, br.hdr.NBits)
 	}
 	if br.hdr.NSamples > 0 && br.read+got == br.hdr.NSamples {
 		br.done = true
@@ -162,7 +176,8 @@ func (br *BlockReader) Next() (*Block, error) {
 		Start: br.read - keep,
 		Rows:  keep + got,
 		Last:  br.done,
-		Data:  br.data[:(keep+got)*nchan],
+		Raw:   br.raw[:(keep+got)*rowBytes],
+		NBits: br.hdr.NBits,
 	}
 	br.read += got
 	br.rows = keep + got

@@ -49,36 +49,44 @@ func (cm *chanMajor) reset(rows, nchan int) {
 	cm.rows, cm.nchan = rows, nchan
 }
 
-// stage fills cm from a sample-major block of rows × nchan values, tile by
-// tile over the pool: tiles write disjoint rows of every column, so the
-// staging is byte-identical for any worker count. With zeroDM the zero-DM
-// filter is fused into the tile (stageTile) instead of materialising a
-// filtered copy of the block first. The tiles' busy time lands on sc: the
-// row means under StageZeroDM, the transpose under StageDedisperse.
-func (cm *chanMajor) stage(ctx context.Context, exec rdd.ExecConfig, data []float32, rows, nchan int, zeroDM bool, sc *stageClock) error {
+// stage fills cm from a block of rows × nchan samples, tile by tile over
+// the pool: each tile takes its rows from the block (Block.values, which
+// decodes raw ones into worker scratch), and tiles write disjoint rows of
+// every column, so the staging is byte-identical for any worker count.
+// With zeroDM the zero-DM filter is fused into the tile (stageTile) instead
+// of materialising a filtered copy of the block first. The tiles' busy time
+// lands on sc: the row means under StageZeroDM, the decode and the
+// transpose under StageDedisperse.
+func (cm *chanMajor) stage(ctx context.Context, exec rdd.ExecConfig, blk *Block, nchan int, zeroDM bool, sc *stageClock) error {
+	rows := blk.Rows
 	cm.reset(rows, nchan)
 	return rdd.RunParallel(ctx, exec, (rows+stageRows-1)/stageRows, func(k int) {
 		r0 := k * stageRows
 		t0 := time.Now()
+		bufs := trialPool.Get().(*trialBuffers)
+		defer trialPool.Put(bufs)
+		tile := blk.values(r0, min(r0+stageRows, rows), nchan, &bufs.tile)
 		if !zeroDM {
-			cm.stageTile(data, r0, nil)
+			cm.stageTile(tile, r0, nil)
 			sc.add(StageDedisperse, time.Since(t0))
 			return
 		}
-		var buf [stageRows]float32
-		mean := rowMeans(data, r0, min(r0+stageRows, rows), nchan, buf[:0])
 		t1 := time.Now()
-		cm.stageTile(data, r0, mean)
-		sc.add3(StageZeroDM, t1.Sub(t0), StageDedisperse, time.Since(t1), "", 0)
+		var buf [stageRows]float32
+		mean := rowMeans(tile, nchan, buf[:0])
+		t2 := time.Now()
+		cm.stageTile(tile, r0, mean)
+		sc.add3(StageZeroDM, t2.Sub(t1), StageDedisperse, t1.Sub(t0)+time.Since(t2), "", 0)
 	})
 }
 
-// rowMeans appends the zero-DM mean of each row in [r0, r1) to mean:
-// ZeroDMFilter's float64 row sum, rounded to float32 exactly as it is there.
-func rowMeans(data []float32, r0, r1, nchan int, mean []float32) []float32 {
-	for r := r0; r < r1; r++ {
+// rowMeans appends the zero-DM mean of each row of the sample-major tile
+// to mean: ZeroDMFilter's float64 row sum, rounded to float32 exactly as it
+// is there.
+func rowMeans(tile []float32, nchan int, mean []float32) []float32 {
+	for r := 0; r < len(tile); r += nchan {
 		var sum float64
-		for _, v := range data[r*nchan : (r+1)*nchan] {
+		for _, v := range tile[r : r+nchan] {
 			sum += float64(v)
 		}
 		mean = append(mean, float32(sum/float64(nchan)))
@@ -86,28 +94,28 @@ func rowMeans(data []float32, r0, r1, nchan int, mean []float32) []float32 {
 	return mean
 }
 
-// stageTile transposes the tile of rows [r0, r0+stageRows) from the
-// sample-major block into cm. A non-nil mean holds the tile's zero-DM row
-// means, subtracted on the way through — col[r] = data[r*nchan+ch] −
-// mean[r−r0], the same float32 arithmetic as ZeroDMFilter, so the staged
-// block is bit-identical to staging the filtered copy.
-func (cm *chanMajor) stageTile(data []float32, r0 int, mean []float32) {
+// stageTile transposes the sample-major tile of rows [r0, r0+stageRows)
+// into cm. A non-nil mean holds the tile's zero-DM row means, subtracted on
+// the way through — col[r] = tile[(r−r0)*nchan+ch] − mean[r−r0], the same
+// float32 arithmetic as ZeroDMFilter, so the staged block is bit-identical
+// to staging the filtered copy.
+func (cm *chanMajor) stageTile(tile []float32, r0 int, mean []float32) {
 	rows, nchan := cm.rows, cm.nchan
 	r1 := min(r0+stageRows, rows)
 	if nchan == 1 && mean == nil {
-		copy(cm.data[r0:r1], data[r0:r1])
+		copy(cm.data[r0:r1], tile)
 		return
 	}
 	for ch := 0; ch < nchan; ch++ {
-		col := cm.data[ch*rows : (ch+1)*rows]
+		col := cm.data[ch*rows+r0 : ch*rows+r1]
 		if mean == nil {
-			for r := r0; r < r1; r++ {
-				col[r] = data[r*nchan+ch]
+			for r := range col {
+				col[r] = tile[r*nchan+ch]
 			}
 			continue
 		}
-		for r := r0; r < r1; r++ {
-			col[r] = data[r*nchan+ch] - mean[r-r0]
+		for r := range col {
+			col[r] = tile[r*nchan+ch] - mean[r]
 		}
 	}
 }

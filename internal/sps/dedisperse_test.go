@@ -1,6 +1,7 @@
 package sps
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"reflect"
@@ -189,6 +190,48 @@ func TestSearchRejectsBadConfig(t *testing.T) {
 	for name, cfg := range cases {
 		if _, _, err := Search(context.Background(), fb, cfg); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestStageRawMatchesDecoded pins the fused decode: staging a block's raw
+// SIGPROC bytes — each tile decoded into worker scratch — is bit-identical
+// to staging the values Read decodes from the same bytes, for both sample
+// widths, with and without the fused zero-DM filter, on one channel and on
+// an odd channel count, over a row count that leaves a partial last tile.
+func TestStageRawMatchesDecoded(t *testing.T) {
+	exec := rdd.ExecConfig{Workers: 3}
+	for _, nbits := range []int{8, 32} {
+		for _, nchans := range []int{1, 37} {
+			fb, err := Generate(SynthConfig{NChans: nchans, NSamples: 3*stageRows + 77, TsampSec: 256e-6, NoiseSigma: 20, Seed: 13})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb.NBits = nbits
+			var buf bytes.Buffer
+			if err := Write(&buf, fb); err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := Read(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr, data, err := ParseRaw(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, zeroDM := range []bool{false, true} {
+				var want, got chanMajor
+				if err := want.stage(context.Background(), exec, &Block{Rows: decoded.NSamples, Data: decoded.Data}, nchans, zeroDM, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.stage(context.Background(), exec, &Block{Rows: hdr.NSamples, Raw: data, NBits: nbits}, nchans, zeroDM, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("nbits %d nchans %d zeroDM %v: raw staging differs from staging Read's values", nbits, nchans, zeroDM)
+				}
+			}
 		}
 	}
 }

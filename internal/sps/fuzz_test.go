@@ -2,6 +2,8 @@ package sps
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -46,8 +48,10 @@ func FuzzReadHeader(f *testing.F) {
 
 // FuzzBlockReader asserts the gulp reader never panics on arbitrary bytes
 // for any (small) block geometry: every block either errors or satisfies
-// the overlap-carry invariants — starts advance by the block size, the
-// data length matches the row count, and a Last block is final. Seeds
+// the overlap-carry invariants — starts advance by the block size, the raw
+// length is exactly the rows' bytes, every row decodes to the values Read
+// gives its sample (when Read accepts the input), and a Last block is
+// final. Seeds
 // cover the valid file, truncated bodies (both with and without a
 // header-declared nsamples), an oversized body, and a ragged tail; the
 // checked-in corpus under testdata/fuzz extends them.
@@ -80,6 +84,8 @@ func FuzzBlockReader(f *testing.F) {
 			return
 		}
 		nchan := br.Header().NChans
+		rowBytes := nchan * br.Header().NBits / 8
+		whole, _ := Read(bytes.NewReader(data))
 		next := 0
 		for k := 0; k < 1<<16; k++ {
 			blk, err := br.Next()
@@ -89,8 +95,17 @@ func FuzzBlockReader(f *testing.F) {
 			if blk.Start != next {
 				t.Fatalf("block %d starts at %d, want %d", k, blk.Start, next)
 			}
-			if blk.Rows < 0 || len(blk.Data) != blk.Rows*nchan {
-				t.Fatalf("block %d: %d values for %d rows of %d channels", k, len(blk.Data), blk.Rows, nchan)
+			if blk.Rows < 0 || len(blk.Raw) != blk.Rows*rowBytes {
+				t.Fatalf("block %d: %d bytes for %d rows of %d bytes", k, len(blk.Raw), blk.Rows, rowBytes)
+			}
+			if whole != nil {
+				if blk.Start+blk.Rows > whole.NSamples {
+					t.Fatalf("block %d ends at sample %d, past Read's %d", k, blk.Start+blk.Rows, whole.NSamples)
+				}
+				want := whole.Data[blk.Start*nchan : (blk.Start+blk.Rows)*nchan]
+				if got := decodeBlock(blk, nchan); !slices.EqualFunc(got, want, sameBits) {
+					t.Fatalf("block %d at %d decodes to values Read does not give", k, blk.Start)
+				}
 			}
 			next += block
 			if blk.Last {
@@ -106,6 +121,9 @@ func FuzzBlockReader(f *testing.F) {
 		t.Fatal("reader yielded 65536 blocks without ending")
 	})
 }
+
+// sameBits compares float32 values bit for bit, NaN payloads included.
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
 func abs(v int) int {
 	if v < 0 {
@@ -132,6 +150,59 @@ func FuzzRead(f *testing.F) {
 		}
 		if len(got.Data) != got.NSamples*got.NChans {
 			t.Fatalf("accepted filterbank has %d values for %d×%d", len(got.Data), got.NSamples, got.NChans)
+		}
+	})
+}
+
+// FuzzParseRaw holds the raw parse — the validation every in-memory detect
+// and fleet shard runs on bytes straight off the network — to Read on any
+// input: both accept or both reject, with equal headers and a data slice
+// that decodes to exactly Read's values. Neither may panic.
+func FuzzParseRaw(f *testing.F) {
+	for _, nbits := range []int{8, 32} {
+		fb := &Filterbank{Header: testHeader()}
+		fb.NBits = nbits
+		fb.Data = make([]float32, fb.NSamples*fb.NChans)
+		for i := range fb.Data {
+			fb.Data[i] = float32(i % 251)
+		}
+		var valid bytes.Buffer
+		if err := Write(&valid, fb); err != nil {
+			f.Fatal(err)
+		}
+		raw := valid.Bytes()
+		f.Add(raw)
+		f.Add(raw[:len(raw)-3])                          // truncated against nsamples
+		f.Add(append(append([]byte{}, raw...), 1, 2, 3)) // trailing bytes past nsamples
+		open := fb.Header
+		open.NSamples = 0
+		var hdr bytes.Buffer
+		if err := WriteHeader(&hdr, open); err != nil {
+			f.Fatal(err)
+		}
+		body := append(hdr.Bytes(), raw[len(raw)-len(fb.Data)*nbits/8:]...)
+		f.Add(body)               // nsamples absent: whole samples to EOF
+		f.Add(body[:len(body)-1]) // nsamples absent: ragged tail
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, rerr := Read(bytes.NewReader(data))
+		hdr, raw, perr := ParseRaw(data)
+		if (rerr == nil) != (perr == nil) {
+			t.Fatalf("Read error %v, ParseRaw error %v", rerr, perr)
+		}
+		if rerr != nil {
+			return
+		}
+		if hdr != want.Header {
+			t.Fatalf("ParseRaw header %+v, Read %+v", hdr, want.Header)
+		}
+		if len(raw) != len(want.Data)*hdr.NBits/8 {
+			t.Fatalf("ParseRaw gave %d data bytes for Read's %d values", len(raw), len(want.Data))
+		}
+		got := make([]float32, len(want.Data))
+		decodeValues(got, raw, hdr.NBits)
+		if !slices.EqualFunc(got, want.Data, sameBits) {
+			t.Fatal("ParseRaw's data decodes to values Read does not give")
 		}
 	})
 }

@@ -160,11 +160,14 @@ type kernelScratch struct {
 }
 
 // trialBuffers is the per-trial scratch a worker reuses: the dedispersed
-// series and the downstream kernel scratch. Pooling them makes
-// steady-state search allocation-free per trial, which is what lets the DM
-// fan-out scale with workers instead of with the allocator.
+// series and the downstream kernel scratch, plus the staging tile a raw
+// block decodes into (stageRows × NChans values, 256 KiB at 256 channels).
+// Pooling them makes steady-state search allocation-free per trial, which
+// is what lets the DM fan-out scale with workers instead of with the
+// allocator.
 type trialBuffers struct {
 	series []float64
+	tile   []float32
 	kernelScratch
 }
 

@@ -2,6 +2,7 @@ package sps
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -182,6 +183,54 @@ func ReadHeader(r io.Reader) (Header, error) {
 // only bytes of the data block ever held in encoded form.
 const readChunk = 1 << 16
 
+// readDataHeader is ReadHeader plus the bound on a header-declared data
+// block, checked before any of it is read or allocated.
+func readDataHeader(r io.Reader) (Header, error) {
+	hdr, err := ReadHeader(r)
+	if err == nil && hdr.NSamples*hdr.NChans > maxSamples {
+		err = fmt.Errorf("sps: %d×%d data block exceeds %d values", hdr.NSamples, hdr.NChans, maxSamples)
+	}
+	return hdr, err
+}
+
+// dataSamples resolves the sample count of a data block whose stream ended,
+// with cause, after n bytes — the checks Read and ParseRaw share. A declared
+// nsamples must be supplied in full (bytes past it are ignored); otherwise
+// the block must hold at most maxSamples values and whole samples only.
+func dataSamples(hdr Header, n int, cause error) (int, error) {
+	rowBytes := hdr.NChans * hdr.NBits / 8
+	switch need := hdr.NSamples * rowBytes; {
+	case hdr.NSamples > 0 && n < need:
+		if cause == io.EOF && n > 0 {
+			cause = io.ErrUnexpectedEOF
+		}
+		return 0, fmt.Errorf("sps: reading %d data bytes: %w", need, cause)
+	case hdr.NSamples > 0:
+		return hdr.NSamples, nil
+	case n/(hdr.NBits/8) > maxSamples:
+		return 0, fmt.Errorf("sps: data block exceeds %d values", maxSamples)
+	case n%rowBytes != 0:
+		return 0, fmt.Errorf("sps: data block of %d bytes is not a whole number of %d-byte samples", n, rowBytes)
+	}
+	return n / rowBytes, nil
+}
+
+// ParseRaw parses a complete filterbank held in memory without decoding it:
+// the header, with NSamples derived when absent, and a zero-copy slice of
+// exactly its data bytes. It accepts and rejects exactly what Read does.
+func ParseRaw(raw []byte) (Header, []byte, error) {
+	r := bytes.NewReader(raw)
+	hdr, err := readDataHeader(r)
+	if err == nil {
+		hdr.NSamples, err = dataSamples(hdr, r.Len(), io.EOF)
+	}
+	if err != nil {
+		return Header{}, nil, err
+	}
+	data := raw[len(raw)-r.Len():]
+	return hdr, data[:hdr.NSamples*hdr.NChans*hdr.NBits/8], nil
+}
+
 // Read parses a complete filterbank (header + data) from r. When the
 // header carries nsamples the data block must supply exactly that many
 // samples; otherwise samples are read to EOF and NSamples is derived. The
@@ -189,22 +238,16 @@ const readChunk = 1 << 16
 // one float32 block, never an encoded twin of the file beside it.
 func Read(r io.Reader) (*Filterbank, error) {
 	br := bufio.NewReaderSize(r, readChunk)
-	hdr, err := ReadHeader(br)
+	hdr, err := readDataHeader(br)
 	if err != nil {
 		return nil, err
 	}
 	bytesPer := hdr.NBits / 8
 	if hdr.NSamples > 0 {
-		if hdr.NSamples*hdr.NChans > maxSamples {
-			return nil, fmt.Errorf("sps: %d×%d data block exceeds %d values", hdr.NSamples, hdr.NChans, maxSamples)
-		}
 		data := make([]float32, hdr.NSamples*hdr.NChans)
-		n, ragged, err := readValues(br, hdr.NBits, data)
-		if n < len(data) {
-			if err == io.EOF && n+ragged > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("sps: reading %d data bytes: %w", len(data)*bytesPer, err)
+		if n, ragged, err := readValues(br, hdr.NBits, data); n < len(data) {
+			_, err = dataSamples(hdr, n*bytesPer+ragged, err)
+			return nil, err
 		}
 		return &Filterbank{Header: hdr, Data: data}, nil
 	}
@@ -216,15 +259,10 @@ func Read(r io.Reader) (*Filterbank, error) {
 		data = slices.Grow(data, room)
 		n, ragged, err := readValues(br, hdr.NBits, data[len(data):len(data)+room])
 		data = data[:len(data)+n]
-		if len(data) > maxSamples {
-			return nil, fmt.Errorf("sps: data block exceeds %d values", maxSamples)
-		}
-		if err == io.EOF {
-			perSample := hdr.NChans * bytesPer
-			if total := len(data)*bytesPer + ragged; total%perSample != 0 {
-				return nil, fmt.Errorf("sps: data block of %d bytes is not a whole number of %d-byte samples", total, perSample)
+		if err == io.EOF || len(data) > maxSamples {
+			if hdr.NSamples, err = dataSamples(hdr, len(data)*bytesPer+ragged, io.EOF); err != nil {
+				return nil, err
 			}
-			hdr.NSamples = len(data) / hdr.NChans
 			return &Filterbank{Header: hdr, Data: data}, nil
 		}
 		if err != nil {

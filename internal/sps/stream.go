@@ -340,15 +340,16 @@ func (st *streamState) collect(tsamp float64, dets []Detection) {
 }
 
 // blockSource yields the gulps of one observation: BlockReader for byte
-// streams, memSource for a filterbank already in memory.
+// streams, memSource for an observation already in memory.
 type blockSource interface {
 	Header() Header
 	Next() (*Block, error)
 }
 
-// memSource serves an in-memory filterbank as zero-copy blocks.
+// memSource serves obs, a whole in-memory observation, as zero-copy blocks.
 type memSource struct {
-	fb      *Filterbank
+	hdr     Header
+	obs     Block
 	block   int
 	overlap int
 	k       int
@@ -356,13 +357,13 @@ type memSource struct {
 	cur     Block
 }
 
-func (ms *memSource) Header() Header { return ms.fb.Header }
+func (ms *memSource) Header() Header { return ms.hdr }
 
 func (ms *memSource) Next() (*Block, error) {
 	if ms.done {
 		return nil, io.EOF
 	}
-	n := ms.fb.NSamples
+	n := ms.hdr.NSamples
 	start := ms.k * ms.block
 	if start >= n {
 		ms.done = true
@@ -373,9 +374,12 @@ func (ms *memSource) Next() (*Block, error) {
 		rows = n - start
 		ms.done = true
 	}
-	ms.cur = Block{
-		Start: start, Rows: rows, Last: ms.done,
-		Data: ms.fb.Data[start*ms.fb.NChans : (start+rows)*ms.fb.NChans],
+	ms.cur = Block{Start: start, Rows: rows, Last: ms.done, NBits: ms.obs.NBits}
+	if nchan := ms.hdr.NChans; ms.obs.NBits == 0 {
+		ms.cur.Data = ms.obs.Data[start*nchan : (start+rows)*nchan]
+	} else {
+		rowBytes := nchan * ms.obs.NBits / 8
+		ms.cur.Raw = ms.obs.Raw[start*rowBytes : (start+rows)*rowBytes]
 	}
 	ms.k++
 	return &ms.cur, nil
@@ -535,7 +539,7 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 		// The zero-DM filter fuses into the staging. Row means are per
 		// row, so the carried overlap rows — raw bytes again in this gulp
 		// — recompute bit-identically, and no row is ever filtered twice.
-		if err := cm.stage(ctx, cfg.Exec, blk.Data, blk.Rows, hdr.NChans, cfg.ZeroDM, sc); err != nil {
+		if err := cm.stage(ctx, cfg.Exec, blk, hdr.NChans, cfg.ZeroDM, sc); err != nil {
 			return stats, err
 		}
 		switch {
@@ -684,18 +688,29 @@ func SearchBlocks(ctx context.Context, hdr Header, data io.Reader, cfg Config, e
 // collects its batches. As with SearchStream, the batch is only valid
 // until emit returns.
 func SearchFilterbank(ctx context.Context, fb *Filterbank, cfg Config, emit func([]spe.SPE) error) (Stats, error) {
-	var stats Stats
-	if err := fb.Validate(); err != nil {
-		return stats, err
+	return searchMem(ctx, fb.Header, Block{Data: fb.Data}, cfg, emit)
+}
+
+// SearchRaw is SearchFilterbank over ParseRaw's header and data bytes: the
+// observation stays encoded, each staging tile decoding its own rows.
+func SearchRaw(ctx context.Context, hdr Header, data []byte, cfg Config, emit func([]spe.SPE) error) (Stats, error) {
+	return searchMem(ctx, hdr, Block{Raw: data, NBits: hdr.NBits}, cfg, emit)
+}
+
+// searchMem runs the driver over obs, the whole in-memory observation.
+func searchMem(ctx context.Context, hdr Header, obs Block, cfg Config, emit func([]spe.SPE) error) (Stats, error) {
+	have, want, unit := len(obs.Data), hdr.NSamples*hdr.NChans, "values"
+	if obs.NBits != 0 {
+		have, want, unit = len(obs.Raw), want*obs.NBits/8, "bytes"
 	}
-	if len(fb.Data) != fb.NSamples*fb.NChans {
-		return stats, fmt.Errorf("sps: data has %d values, header says %d", len(fb.Data), fb.NSamples*fb.NChans)
+	if have != want {
+		return Stats{}, fmt.Errorf("sps: data has %d %s, header says %d", have, unit, want)
 	}
 	block := cfg.BlockSamples
 	if block == 0 {
-		block = fb.NSamples
+		block = hdr.NSamples
 	}
-	return searchBlockStream(ctx, fb.Header, func(overlap int) (blockSource, error) {
-		return &memSource{fb: fb, block: block, overlap: overlap}, nil
+	return searchBlockStream(ctx, hdr, func(overlap int) (blockSource, error) {
+		return &memSource{hdr: hdr, obs: obs, block: block, overlap: overlap}, nil
 	}, cfg, emit)
 }

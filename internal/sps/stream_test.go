@@ -245,14 +245,24 @@ func TestSearchStreamEmitError(t *testing.T) {
 	}
 }
 
+// decodeBlock decodes every row of a block the reader yielded.
+func decodeBlock(blk *Block, nchan int) []float32 {
+	var scratch []float32
+	return blk.values(0, blk.Rows, nchan, &scratch)
+}
+
 // TestBlockReaderGeometry walks gulps over a known observation and checks
-// the overlap-carry invariants: starts advance by the block size, carried
-// rows repeat the previous tail verbatim, and the final block lands
-// exactly on the observation end.
+// the overlap-carry invariants: starts advance by the block size, each
+// block's raw bytes are exactly its rows, carried rows repeat the previous
+// tail verbatim (every row decodes to Read's values for its sample), and
+// the final block lands exactly on the observation end.
 func TestBlockReaderGeometry(t *testing.T) {
-	fb := streamFixture(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, fb); err != nil {
+	if err := Write(&buf, streamFixture(t)); err != nil {
+		t.Fatal(err)
+	}
+	fb, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	const block, overlap = 1000, 200
@@ -277,14 +287,15 @@ func TestBlockReaderGeometry(t *testing.T) {
 		if blk.Start != k*block {
 			t.Fatalf("block %d starts at %d, want %d", k, blk.Start, k*block)
 		}
-		if len(blk.Data) != blk.Rows*nchan {
-			t.Fatalf("block %d has %d values for %d rows", k, len(blk.Data), blk.Rows)
+		if blk.NBits != fb.NBits || len(blk.Raw) != blk.Rows*nchan*fb.NBits/8 {
+			t.Fatalf("block %d has %d %d-bit bytes for %d rows", k, len(blk.Raw), blk.NBits, blk.Rows)
 		}
+		data := decodeBlock(blk, nchan)
 		for r := 0; r < blk.Rows; r++ {
 			at := blk.Start + r
 			for ch := 0; ch < nchan; ch++ {
-				if blk.Data[r*nchan+ch] != fb.Data[at*nchan+ch] {
-					t.Fatalf("block %d row %d ch %d: %g != %g", k, r, ch, blk.Data[r*nchan+ch], fb.Data[at*nchan+ch])
+				if data[r*nchan+ch] != fb.Data[at*nchan+ch] {
+					t.Fatalf("block %d row %d ch %d: %g != %g", k, r, ch, data[r*nchan+ch], fb.Data[at*nchan+ch])
 				}
 			}
 		}
