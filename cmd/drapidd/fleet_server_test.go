@@ -20,8 +20,8 @@ import (
 
 // fleetDetectReq is a small sharded synthetic detect job for the HTTP
 // tests: three pulses, DM grid to 100.
-func fleetDetectReq(shards int) detectRequest {
-	return detectRequest{
+func fleetDetectReq(shards int) drapid.DetectJob {
+	return drapid.DetectJob{
 		Synth: &drapid.SynthSpec{
 			NChans: 64, NSamples: 8192, TsampSec: 256e-6,
 			Fch1MHz: 1500, FoffMHz: -2,

@@ -20,11 +20,15 @@
 // mounted publicly) plus a /metrics alias. -log-format json switches the
 // structured request/job logs from prefixed text to JSON lines.
 //
-// API (see DESIGN.md §4.5):
+// API (see DESIGN.md §4.5). A job body is the job spec's own JSON form,
+// the document the journal also holds (DESIGN.md §5.4); a name the spec
+// does not have is a 400:
 //
-//	POST /v1/jobs                 {"data": [...], "clusters": [...]} → {"id": ...}
-//	POST /v1/detect               JSON detect job (filterbank base64 or synth spec)
-//	POST /v1/detect/stream        raw SIGPROC body in, NDJSON candidates out (DESIGN.md §7)
+//	POST /v1/jobs                 drapid.IdentifyJob as JSON ({"data": [...], "clusters": [...]}) → {"id": ...}
+//	POST /v1/detect               drapid.DetectJob as JSON (filterbank base64 or synth spec)
+//	POST /v1/detect/stream        raw SIGPROC body in, NDJSON candidates out (DESIGN.md §7);
+//	                              DetectJob's scalar search knobs as query parameters,
+//	                              with block (BlockSamples) and top (Sift.Top)
 //	GET  /v1/jobs/{id}            progress
 //	GET  /v1/jobs/{id}/candidates NDJSON stream of identified pulses
 //	POST /v1/jobs/{id}/cancel     cancel

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -148,18 +149,6 @@ func submitStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// submitRequest is the POST /v1/jobs body. Inputs are raw CSV lines
-// (headers optional), mirroring drapid.IdentifyJob.
-type submitRequest struct {
-	Data              []string `json:"data"`
-	Clusters          []string `json:"clusters"`
-	DataFile          string   `json:"data_file"`
-	ClusterFile       string   `json:"cluster_file"`
-	FreqGHz           float64  `json:"freq_ghz"`
-	BandMHz           float64  `json:"band_mhz"`
-	PartitionsPerCore int      `json:"partitions_per_core"`
-}
-
 // Request-body ceilings: survey inputs are tens-of-MB CSV datasets, model
 // documents and classify batches are far smaller. Oversized bodies fail
 // decoding with a 400 instead of exhausting server memory.
@@ -169,103 +158,117 @@ const (
 	maxClassifyBody = 16 << 20
 )
 
-func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.jsonCap)).Decode(&req); err != nil {
+// decodeJob decodes a JSON job body — an IdentifyJob or a DetectJob in
+// its own JSON form — refusing unknown fields, so a misspelt knob is a 400
+// rather than silently left at its default.
+func (s *server) decodeJob(w http.ResponseWriter, r *http.Request, spec any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.jsonCap))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
 		errorJSON(w, http.StatusBadRequest, "decoding request: %v", err)
+		return false
+	}
+	return true
+}
+
+// accepted is the 202 body of a submitted job: its state and links.
+func accepted(job *drapid.Job) map[string]any {
+	return map[string]any{
+		"id":         job.ID(),
+		"state":      job.State().String(),
+		"progress":   "/v1/jobs/" + job.ID(),
+		"candidates": "/v1/jobs/" + job.ID() + "/candidates",
+	}
+}
+
+func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec drapid.IdentifyJob
+	if !s.decodeJob(w, r, &spec) {
 		return
 	}
 	// The job must outlive this request, so it is NOT bound to r.Context();
 	// clients stop it via the cancel endpoint.
-	job, err := s.engine.Submit(context.Background(), drapid.IdentifyJob{
-		Data:              req.Data,
-		Clusters:          req.Clusters,
-		DataFile:          req.DataFile,
-		ClusterFile:       req.ClusterFile,
-		FreqGHz:           req.FreqGHz,
-		BandMHz:           req.BandMHz,
-		PartitionsPerCore: req.PartitionsPerCore,
-	})
+	job, err := s.engine.Submit(context.Background(), spec)
 	if err != nil {
 		errorJSON(w, submitStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":         job.ID(),
-		"state":      job.State().String(),
-		"progress":   "/v1/jobs/" + job.ID(),
-		"candidates": "/v1/jobs/" + job.ID() + "/candidates",
-	})
+	writeJSON(w, http.StatusAccepted, accepted(job))
 }
 
-// detectRequest is the POST /v1/detect body. A filterbank observation
-// arrives base64-encoded (JSON []byte), or a synth spec generates one
-// server-side; the remaining knobs mirror drapid.DetectJob.
-type detectRequest struct {
-	Filterbank []byte            `json:"filterbank,omitempty"`
-	Synth      *drapid.SynthSpec `json:"synth,omitempty"`
-	Key        string            `json:"key,omitempty"`
-	DMMin      float64           `json:"dm_min,omitempty"`
-	DMMax      float64           `json:"dm_max,omitempty"`
-	DMStep     float64           `json:"dm_step,omitempty"`
-	Widths     []int             `json:"widths,omitempty"`
-	Threshold  float64           `json:"threshold,omitempty"`
-	NormWindow int               `json:"norm_window,omitempty"`
-	NoZeroDM   bool              `json:"no_zerodm,omitempty"`
-	Plan       string            `json:"plan,omitempty"`
-	Shards     int               `json:"shards,omitempty"`
-	ShardBy    string            `json:"shard_by,omitempty"`
-	Sift       drapid.Sift       `json:"sift,omitempty"`
-}
-
+// handleDetect submits the body, a DetectJob in its JSON form (a
+// filterbank arrives base64-encoded, or a synth spec generates one
+// server-side).
 func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	var req detectRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.jsonCap)).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "decoding request: %v", err)
+	var spec drapid.DetectJob
+	if !s.decodeJob(w, r, &spec) {
 		return
 	}
 	// Like identification jobs, detect jobs outlive the request; clients
 	// stop them via the cancel endpoint.
-	job, err := s.engine.SubmitDetect(context.Background(), drapid.DetectJob{
-		Filterbank: req.Filterbank,
-		Synth:      req.Synth,
-		Key:        req.Key,
-		DMMin:      req.DMMin,
-		DMMax:      req.DMMax,
-		DMStep:     req.DMStep,
-		Widths:     req.Widths,
-		Threshold:  req.Threshold,
-		NormWindow: req.NormWindow,
-		NoZeroDM:   req.NoZeroDM,
-		Plan:       req.Plan,
-		Shards:     req.Shards,
-		ShardBy:    req.ShardBy,
-		Sift:       req.Sift,
-	})
+	job, err := s.engine.SubmitDetect(context.Background(), spec)
 	if err != nil {
 		errorJSON(w, submitStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":         job.ID(),
-		"state":      job.State().String(),
-		"progress":   "/v1/jobs/" + job.ID(),
-		"candidates": "/v1/jobs/" + job.ID() + "/candidates",
-		"top":        "/v1/jobs/" + job.ID() + "/top",
-	})
+	body := accepted(job)
+	body["top"] = "/v1/jobs/" + job.ID() + "/top"
+	writeJSON(w, http.StatusAccepted, body)
 }
 
-// queryFloat parses an optional float query parameter.
-func queryFloat(q url.Values, name string) (float64, error) {
-	v := q.Get(name)
-	if v == "" {
-		return 0, nil
+// detectQuery reads the stream endpoint's query into a DetectJob: every
+// scalar knob by its JSON name, except BlockSamples, whose one query name
+// is the short block, and the sharding knobs, which a stream refuses; plus
+// top (Sift.Top). The other knobs are body-only, and an unknown or
+// malformed parameter is an error.
+func detectQuery(q url.Values) (drapid.DetectJob, error) {
+	var spec drapid.DetectJob
+	knobs := map[string]reflect.Value{
+		"block": reflect.ValueOf(&spec.BlockSamples).Elem(),
+		"top":   reflect.ValueOf(&spec.Sift.Top).Elem(),
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
+	v := reflect.ValueOf(&spec).Elem()
+	for i := range v.NumField() {
+		field := v.Type().Field(i)
+		switch field.Name {
+		case "BlockSamples", "Shards", "ShardBy":
+			continue
+		}
+		name, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String, reflect.Bool, reflect.Int, reflect.Float64:
+			if name != "-" {
+				knobs[name] = f
+			}
+		}
 	}
-	return f, nil
+	for name, vals := range q {
+		f, ok := knobs[name]
+		if !ok {
+			return spec, fmt.Errorf("unknown query parameter %q (the query takes DetectJob's scalar search knobs by name, block and top; the rest are body-only)", name)
+		}
+		var err error
+		switch val := vals[0]; f.Kind() {
+		case reflect.String:
+			f.SetString(val)
+		case reflect.Bool:
+			var b bool
+			b, err = strconv.ParseBool(val)
+			f.SetBool(b)
+		case reflect.Int:
+			var n int64
+			n, err = strconv.ParseInt(val, 10, 0)
+			f.SetInt(n)
+		case reflect.Float64:
+			var x float64
+			x, err = strconv.ParseFloat(val, 64)
+			f.SetFloat(x)
+		}
+		if err != nil {
+			return spec, fmt.Errorf("bad %s %q", name, vals[0])
+		}
+	}
+	return spec, nil
 }
 
 // queryInt parses an optional integer query parameter.
@@ -286,39 +289,17 @@ func queryInt(q url.Values, name string) (int, error) {
 // buffering (memory is bounded by the block size, so the body may far
 // exceed the JSON endpoints' size cap), and candidates flush back as
 // NDJSON while the body is still uploading. Search knobs arrive as query
-// parameters (dm_min, dm_max, dm_step, threshold, norm_window, block,
-// plan, key, no_zerodm, top). Unlike POST /v1/detect, the job is bound to the
+// parameters (detectQuery). Unlike POST /v1/detect, the job is bound to the
 // request: a departing client cancels it, and the stream always
 // terminates with a final record — {"done": ..., "result": ...} on
 // success, {"error": ...} on failure or cancellation.
 func (s *server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	spec := drapid.DetectJob{
-		FilterbankStream: r.Body,
-		Key:              q.Get("key"),
-		Plan:             q.Get("plan"),
-		NoZeroDM:         q.Get("no_zerodm") == "true" || q.Get("no_zerodm") == "1",
-	}
-	var err error
-	if spec.DMMin, err = queryFloat(q, "dm_min"); err == nil {
-		if spec.DMMax, err = queryFloat(q, "dm_max"); err == nil {
-			if spec.DMStep, err = queryFloat(q, "dm_step"); err == nil {
-				spec.Threshold, err = queryFloat(q, "threshold")
-			}
-		}
-	}
-	if err == nil {
-		if spec.NormWindow, err = queryInt(q, "norm_window"); err == nil {
-			spec.BlockSamples, err = queryInt(q, "block")
-		}
-	}
-	if err == nil {
-		spec.Sift.Top, err = queryInt(q, "top")
-	}
+	spec, err := detectQuery(r.URL.Query())
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	spec.FilterbankStream = r.Body
 	// The response streams while the body is still being read: switch the
 	// connection to full duplex and lift the server's read deadline, which
 	// is sized for buffered JSON bodies, not hours-long uploads.

@@ -14,7 +14,9 @@ import (
 	"drapid/internal/dbscan"
 	"drapid/internal/dmgrid"
 	"drapid/internal/features"
+	"drapid/internal/fleet"
 	"drapid/internal/pipeline"
+	"drapid/internal/sift"
 	"drapid/internal/spe"
 	"drapid/internal/sps"
 )
@@ -54,9 +56,9 @@ type SynthSpec struct {
 	NoiseSigma float64 `json:"noise_sigma,omitempty"`
 	// Seed makes the observation deterministic.
 	Seed   int64           `json:"seed,omitempty"`
-	Pulses []InjectedPulse `json:"pulses,omitempty"`
-	RFI    []RFIBurst      `json:"rfi,omitempty"`
-	Trains []PulseTrain    `json:"trains,omitempty"`
+	Pulses []InjectedPulse `json:"pulses,omitzero"`
+	RFI    []RFIBurst      `json:"rfi,omitzero"`
+	Trains []PulseTrain    `json:"trains,omitzero"`
 }
 
 // internal converts the public spec to the frontend's configuration. The
@@ -92,51 +94,60 @@ func GenerateFilterbank(spec SynthSpec) ([]byte, error) {
 // (pipeline.Searcher) — on typed events, in memory, without the simulated
 // HDFS and Spark layer — so Results() streams the same Candidate records,
 // ready for Classifier.Predict.
+//
+// A DetectJob's JSON form is the job's one description: it is the
+// POST /v1/detect body, the journal entry a restarted engine replays, and
+// the names of the stream endpoint's query knobs (DESIGN.md §5.4, §9.2).
+// The two fields that only make sense in-process, FilterbankStream and
+// ResultBuffer, have none. Slices and Sift are omitzero rather than
+// omitempty so an empty-but-present value survives a round trip.
 type DetectJob struct {
 	// Filterbank is a raw SIGPROC filterbank observation (for example
 	// written by cmd/spgen -filterbank). Exactly one of Filterbank,
 	// Synth and FilterbankStream must be set.
-	Filterbank []byte
+	Filterbank []byte `json:"filterbank,omitzero"`
 	// Synth generates a synthetic observation in place of Filterbank.
-	Synth *SynthSpec
+	Synth *SynthSpec `json:"synth,omitempty"`
 	// FilterbankStream supplies the observation as a raw SIGPROC byte
 	// stream consumed incrementally — the live-ingest input: candidates
 	// flow while the stream is still arriving and memory stays bounded by
 	// the block size regardless of observation length. The job owns the
 	// reader until it terminates. Implies block streaming: a zero
 	// BlockSamples takes DefaultBlockSamples.
-	FilterbankStream io.Reader
+	FilterbankStream io.Reader `json:"-"`
 	// Key identifies the observation in downstream records, in the
 	// canonical "dataset:mjd:ra:dec:beam" form, with a dataset of letters,
 	// digits and +-._ only; empty derives one from the filterbank header
 	// (source name and start MJD).
-	Key string
+	Key string `json:"key,omitempty"`
 	// DMMin, DMMax and DMStep define the trial dispersion-measure grid in
 	// pc cm⁻³, of at most 2²⁰ trials. All-zero takes the default grid (0
 	// to 300, step 1).
-	DMMin, DMMax, DMStep float64
+	DMMin  float64 `json:"dm_min,omitempty"`
+	DMMax  float64 `json:"dm_max,omitempty"`
+	DMStep float64 `json:"dm_step,omitempty"`
 	// Widths is the boxcar matched-filter ladder in samples; empty takes
 	// the octave ladder 1…64.
-	Widths []int
+	Widths []int `json:"widths,omitzero"`
 	// Threshold is the detection SNR cut; zero takes 6.
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// NormWindow is the running mean/variance normalisation window in
 	// samples, >= 0. Zero normalises each trial by its global moments when
 	// the observation is searched in one gulp, and takes the frontend's
 	// DefaultNormWindow when it is gulped (BlockSamples or
 	// FilterbankStream), since global moments need the whole series.
-	NormWindow int
+	NormWindow int `json:"norm_window,omitempty"`
 	// NoZeroDM disables the zero-DM broadband-RFI filter
 	// (sps.ZeroDMFilter), which detect jobs otherwise apply before
 	// dedispersion. Disable it only when genuinely zero-DM signals matter
 	// more than RFI rejection.
-	NoZeroDM bool
+	NoZeroDM bool `json:"no_zerodm,omitempty"`
 	// Plan selects the dedispersion strategy: "" or "auto" (the default)
 	// picks two-stage subband dedispersion with an auto-chosen subband
 	// count whenever its cost model beats brute force; "subband" and
 	// "brute" force a strategy. Result.Plan reports what actually ran.
 	// See DESIGN.md §6.
-	Plan string
+	Plan string `json:"plan,omitempty"`
 	// BlockSamples is the gulp size of the search (DESIGN.md §7): the
 	// observation is consumed in gulps of this many samples with the
 	// dispersion overlap carried between them, in memory bounded by the
@@ -147,7 +158,7 @@ type DetectJob struct {
 	// trial's dispersion sweep (undersized blocks fail with a clear
 	// error). Zero searches an ingested observation as one gulp, clustered
 	// as a whole; a FilterbankStream takes DefaultBlockSamples instead.
-	BlockSamples int
+	BlockSamples int `json:"block_samples,omitempty"`
 	// Shards splits the search across the engine's worker fleet (DESIGN.md
 	// §9): the job is planned into this many shards, dispatched over the
 	// workers attached with WithFleetWorkers/WithRemoteWorkers, and the
@@ -155,18 +166,21 @@ type DetectJob struct {
 	// record-for-record what an unsharded run produces. Shards > 1
 	// requires a fleet and is incompatible with the streaming inputs
 	// (FilterbankStream, BlockSamples); zero or one runs unsharded.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// ShardBy picks the shard axis: ShardByDM (the default, bit-exact) or
 	// ShardByTime (bounded per-worker input, approximate at seams,
 	// requires an explicit NormWindow).
-	ShardBy string
-	// ResultBuffer bounds consumer lag exactly as for IdentifyJob.
-	ResultBuffer int
+	ShardBy string `json:"shard_by,omitempty"`
+	// ResultBuffer bounds consumer lag exactly as for IdentifyJob. It is
+	// in-process only: a job with it set stalls until someone reads
+	// Results, and a detached HTTP job or a replayed journal entry has no
+	// such reader.
+	ResultBuffer int `json:"-"`
 	// Sift configures the post-classification sifting stage: group ranking
 	// (Result.TopCandidates, Job.Top) and repeat-source cross-matching
 	// (Result.Sources). The zero value runs sifting with defaults; set
 	// Sift.Disable to skip it. See DESIGN.md §8.
-	Sift Sift
+	Sift Sift `json:"sift,omitzero"`
 }
 
 // DefaultBlockSamples is the gulp size a FilterbankStream detect job uses
@@ -175,12 +189,18 @@ type DetectJob struct {
 // sweep at survey time resolutions).
 const DefaultBlockSamples = 1 << 16
 
-// validate checks the spec, resolving the trial grid and the parsed
-// dedispersion plan kind.
-func (spec DetectJob) validate() (lo, hi, step float64, kind sps.PlanKind, err error) {
-	fail := func(err error) (float64, float64, float64, sps.PlanKind, error) {
-		return 0, 0, 0, sps.PlanAuto, err
-	}
+// detectSetup is a validated DetectJob resolved, once at submission,
+// into what it runs on.
+type detectSetup struct {
+	grid    *dmgrid.Grid
+	catalog []sift.CatalogEntry
+	// search is the search knobs as fleet shards carry them.
+	search fleet.SearchSpec
+}
+
+// validate checks the spec and resolves it: the trial grid, the parsed
+// sift catalog and the search configuration.
+func (spec DetectJob) validate() (*detectSetup, error) {
 	inputs := 0
 	if len(spec.Filterbank) > 0 {
 		inputs++
@@ -192,65 +212,79 @@ func (spec DetectJob) validate() (lo, hi, step float64, kind sps.PlanKind, err e
 		inputs++
 	}
 	if inputs == 0 {
-		return fail(fmt.Errorf("drapid: DetectJob needs Filterbank bytes, a Synth spec, or a FilterbankStream"))
+		return nil, fmt.Errorf("drapid: DetectJob needs Filterbank bytes, a Synth spec, or a FilterbankStream")
 	}
 	if inputs > 1 {
-		return fail(fmt.Errorf("drapid: DetectJob takes exactly one of Filterbank, Synth and FilterbankStream"))
+		return nil, fmt.Errorf("drapid: DetectJob takes exactly one of Filterbank, Synth and FilterbankStream")
 	}
 	if spec.BlockSamples < 0 {
-		return fail(fmt.Errorf("drapid: BlockSamples must be >= 0, got %d", spec.BlockSamples))
+		return nil, fmt.Errorf("drapid: BlockSamples must be >= 0, got %d", spec.BlockSamples)
 	}
 	if spec.NormWindow < 0 {
-		return fail(fmt.Errorf("drapid: NormWindow must be >= 0, got %d", spec.NormWindow))
+		return nil, fmt.Errorf("drapid: NormWindow must be >= 0, got %d", spec.NormWindow)
 	}
-	lo, hi, step = spec.DMMin, spec.DMMax, spec.DMStep
+	lo, hi, step := spec.DMMin, spec.DMMax, spec.DMStep
 	if lo == 0 && hi == 0 && step == 0 {
 		lo, hi, step = 0, 300, 1
 	}
 	if step <= 0 {
-		return fail(fmt.Errorf("drapid: DM step %g must be > 0", step))
+		return nil, fmt.Errorf("drapid: DM step %g must be > 0", step)
 	}
 	if lo < 0 || hi <= lo {
-		return fail(fmt.Errorf("drapid: bad DM range [%g, %g]", lo, hi))
+		return nil, fmt.Errorf("drapid: bad DM range [%g, %g]", lo, hi)
 	}
 	if n := gridTrials(lo, hi, step); !(n <= sps.MaxTrials) {
-		return fail(fmt.Errorf("drapid: DM grid [%g, %g] step %g has %g trials, more than %d", lo, hi, step, n, sps.MaxTrials))
+		return nil, fmt.Errorf("drapid: DM grid [%g, %g] step %g has %g trials, more than %d", lo, hi, step, n, sps.MaxTrials)
 	}
-	if spec.Threshold < 0 {
-		return fail(fmt.Errorf("drapid: threshold %g must be >= 0", spec.Threshold))
+	if !(spec.Threshold >= 0) {
+		return nil, fmt.Errorf("drapid: threshold %g must be >= 0", spec.Threshold)
 	}
 	if spec.ResultBuffer < 0 {
-		return fail(fmt.Errorf("drapid: ResultBuffer must be >= 0, got %d", spec.ResultBuffer))
+		return nil, fmt.Errorf("drapid: ResultBuffer must be >= 0, got %d", spec.ResultBuffer)
 	}
 	if spec.Key != "" {
 		k, err := spe.ParseKey(spec.Key)
 		if err != nil {
-			return fail(fmt.Errorf("drapid: bad observation key %q (want dataset:mjd:ra:dec:beam)", spec.Key))
+			return nil, fmt.Errorf("drapid: bad observation key %q (want dataset:mjd:ra:dec:beam)", spec.Key)
 		}
 		if strings.IndexFunc(k.Dataset, func(r rune) bool { return !keyRune(r) }) >= 0 {
-			return fail(fmt.Errorf("drapid: observation key %q: dataset %q may hold only letters, digits and +-._", spec.Key, k.Dataset))
+			return nil, fmt.Errorf("drapid: observation key %q: dataset %q may hold only letters, digits and +-._", spec.Key, k.Dataset)
 		}
 	}
 	if spec.Shards < 0 {
-		return fail(fmt.Errorf("drapid: Shards must be >= 0, got %d", spec.Shards))
+		return nil, fmt.Errorf("drapid: Shards must be >= 0, got %d", spec.Shards)
 	}
 	switch spec.ShardBy {
 	case "", ShardByDM:
 	case ShardByTime:
 		if spec.Shards > 1 && spec.NormWindow <= 0 {
-			return fail(fmt.Errorf("drapid: time sharding requires an explicit NormWindow (global-moment normalisation cannot be sliced)"))
+			return nil, fmt.Errorf("drapid: time sharding requires an explicit NormWindow (global-moment normalisation cannot be sliced)")
 		}
 	default:
-		return fail(fmt.Errorf("drapid: unknown ShardBy %q (want %q or %q)", spec.ShardBy, ShardByDM, ShardByTime))
+		return nil, fmt.Errorf("drapid: unknown ShardBy %q (want %q or %q)", spec.ShardBy, ShardByDM, ShardByTime)
 	}
 	if spec.Shards > 1 && (spec.FilterbankStream != nil || spec.BlockSamples > 0) {
-		return fail(fmt.Errorf("drapid: sharding (Shards > 1) is incompatible with streaming inputs (FilterbankStream/BlockSamples)"))
+		return nil, fmt.Errorf("drapid: sharding (Shards > 1) is incompatible with streaming inputs (FilterbankStream/BlockSamples)")
 	}
-	kind, err = sps.ParsePlanKind(spec.Plan)
+	catalog, err := spec.Sift.validate()
 	if err != nil {
-		return fail(fmt.Errorf("drapid: %w", err))
+		return nil, err
 	}
-	return lo, hi, step, kind, nil
+	grid, err := detectGrid(lo, hi, step)
+	if err != nil {
+		return nil, fmt.Errorf("drapid: building DM grid: %w", err)
+	}
+	search := fleet.SearchSpec{
+		Widths:     spec.Widths,
+		Threshold:  spec.Threshold,
+		NormWindow: spec.NormWindow,
+		ZeroDM:     !spec.NoZeroDM,
+		Plan:       spec.Plan,
+	}
+	if _, err := sps.ParsePlanKind(search.Plan); err != nil {
+		return nil, fmt.Errorf("drapid: %w", err)
+	}
+	return &detectSetup{grid: grid, catalog: catalog, search: search}, nil
 }
 
 // SubmitDetect registers and starts a detection job, returning its handle
@@ -268,20 +302,12 @@ func (e *Engine) submitDetect(ctx context.Context, spec DetectJob, forceID strin
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	lo, hi, step, kind, err := spec.validate()
-	if err != nil {
-		return nil, err
-	}
-	catalog, err := spec.Sift.validate()
+	setup, err := spec.validate()
 	if err != nil {
 		return nil, err
 	}
 	if spec.Shards > 1 && e.coord == nil {
 		return nil, fmt.Errorf("drapid: Shards = %d but the engine has no fleet (use WithFleetWorkers or WithRemoteWorkers)", spec.Shards)
-	}
-	grid, err := detectGrid(lo, hi, step)
-	if err != nil {
-		return nil, fmt.Errorf("drapid: building DM grid: %w", err)
 	}
 	id := forceID
 	if id == "" {
@@ -298,7 +324,7 @@ func (e *Engine) submitDetect(ctx context.Context, spec DetectJob, forceID strin
 		if top == 0 {
 			top = DefaultTopCandidates
 		}
-		j.sift = &jobSift{params: spec.Sift.params(), catalog: catalog, top: top}
+		j.sift = &jobSift{params: spec.Sift.params(), catalog: setup.catalog, top: top}
 	}
 	if err := e.register(j); err != nil {
 		return nil, err
@@ -318,7 +344,7 @@ func (e *Engine) submitDetect(ctx context.Context, spec DetectJob, forceID strin
 			return nil, err
 		}
 	}
-	go j.run(e.detectWork(j, spec, grid, kind))
+	go j.run(e.detectWork(j, spec, setup))
 	return j, nil
 }
 
@@ -351,12 +377,12 @@ type eventSource struct {
 // the spec's event source (detectSource) feeds the segmenter, which
 // clusters and identifies in memory segment by segment, then the final
 // sift view. DetectSeconds spans the whole work function on every path,
-// and the stage walls partition it. kind is the dedispersion plan validate
-// already parsed from spec.Plan.
-func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) func() (Result, error) {
+// and the stage walls partition it.
+func (e *Engine) detectWork(j *Job, spec DetectJob, setup *detectSetup) func() (Result, error) {
 	return func() (Result, error) {
 		start := time.Now()
-		src, err := e.detectSource(j, spec, grid, kind)
+		grid := setup.grid
+		src, err := e.detectSource(j, spec, setup)
 		if err != nil {
 			return Result{}, err
 		}
@@ -402,20 +428,15 @@ func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.
 // arrives, and BlockSamples gulps an ingested observation the same way;
 // both flush at quiet gaps. Otherwise the observation is searched as one
 // gulp whose events form a single segment, as the fleet's DM barrier does.
-func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) (*eventSource, error) {
+func (e *Engine) detectSource(j *Job, spec DetectJob, setup *detectSetup) (*eventSource, error) {
 	if spec.Shards > 1 {
-		return e.fleetSource(j, spec, grid)
+		return e.fleetSource(j, spec, setup)
 	}
-	cfg := sps.Config{
-		DMs:          grid.Trials(),
-		Widths:       spec.Widths,
-		Threshold:    spec.Threshold,
-		NormWindow:   spec.NormWindow,
-		ZeroDM:       !spec.NoZeroDM,
-		Plan:         sps.DedispersePlan{Kind: kind},
-		Exec:         e.exec,
-		BlockSamples: spec.BlockSamples,
+	cfg, err := setup.search.Config(setup.grid.Trials(), e.exec)
+	if err != nil {
+		return nil, fmt.Errorf("drapid: %w", err)
 	}
+	cfg.BlockSamples = spec.BlockSamples
 	if spec.FilterbankStream != nil {
 		if cfg.BlockSamples == 0 {
 			cfg.BlockSamples = DefaultBlockSamples
@@ -434,7 +455,6 @@ func (e *Engine) detectSource(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sp
 	ingest := j.trace.Span(sps.StageIngest)
 	fb := &sps.Filterbank{}
 	var data []byte
-	var err error
 	if spec.Synth != nil {
 		fb, err = sps.Generate(spec.Synth.internal())
 	} else {

@@ -2,9 +2,13 @@ package drapid_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -184,29 +188,45 @@ func TestDetectJobFromFilterbankBytes(t *testing.T) {
 	}
 }
 
+// invalidDetectJobs loads the specs every entry refuses — SubmitDetect,
+// a journal replay, and drapidd's POST /v1/detect body and stream query —
+// in their JSON form, by name (testdata/detect_invalid.json). A comma in
+// a key would split the dataset into two CSV fields and lose every
+// candidate of the job to misread records; the huge DM grid's 3·10⁸
+// trials must be refused before the grid is built. Malformed filterbank
+// bytes are only discovered asynchronously: that job is accepted and must
+// then fail, not hang or panic.
+func invalidDetectJobs(t *testing.T) map[string]json.RawMessage {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "detect_invalid.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases map[string]json.RawMessage
+	if err := json.Unmarshal(data, &cases); err != nil {
+		t.Fatal(err)
+	}
+	return cases
+}
+
 func TestDetectJobValidation(t *testing.T) {
 	engine, err := drapid.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer engine.Close()
-	synth := &drapid.SynthSpec{NChans: 8, NSamples: 64}
 	cases := map[string]drapid.DetectJob{
-		"no input":             {},
-		"both inputs":          {Filterbank: []byte{1}, Synth: synth},
-		"bad DM range":         {Synth: synth, DMMin: 50, DMMax: 10, DMStep: 1},
-		"bad DM step":          {Synth: synth, DMMin: 0, DMMax: 10, DMStep: -1},
-		"bad threshold":        {Synth: synth, Threshold: -2},
-		"bad buffer":           {Synth: synth, ResultBuffer: -1},
-		"negative norm window": {Synth: synth, NormWindow: -1},
-		"malformed key":        {Synth: synth, Key: "not-a-key"},
-		// A comma splits the dataset into two CSV fields, and every
-		// candidate of the job would be lost to the misread records.
-		"comma in key": {Synth: synth, Key: "PAL,FA:58000:10:20:1"},
-		// 3·10⁸ trials: refused before the grid is built.
-		"huge DM grid":   {Synth: synth, DMMin: 0, DMMax: 300, DMStep: 1e-6},
-		"bad plan":       {Synth: synth, Plan: "turbo"},
-		"bad filterbank": {Filterbank: []byte("not a filterbank")},
+		// ResultBuffer has no JSON form: only the Go API can set it.
+		"bad buffer": {Synth: &drapid.SynthSpec{NChans: 8, NSamples: 64}, ResultBuffer: -1},
+		// JSON cannot spell NaN, but a stream query can.
+		"NaN threshold": {Synth: &drapid.SynthSpec{NChans: 8, NSamples: 64}, Threshold: math.NaN()},
+	}
+	for name, raw := range invalidDetectJobs(t) {
+		var spec drapid.DetectJob
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cases[name] = spec
 	}
 	for name, spec := range cases {
 		job, err := engine.SubmitDetect(context.Background(), spec)
@@ -222,6 +242,96 @@ func TestDetectJobValidation(t *testing.T) {
 		if _, err := job.Wait(context.Background()); err == nil {
 			t.Errorf("%s: job succeeded", name)
 		}
+	}
+}
+
+// TestDetectJobValidationOnReplay: a journal entry holding a spec that
+// SubmitDetect refuses makes Recover fail, so a restarted engine holds
+// its journal to the same bounds as a fresh submission.
+func TestDetectJobValidationOnReplay(t *testing.T) {
+	for name, raw := range invalidDetectJobs(t) {
+		dir := t.TempDir()
+		entry := fmt.Sprintf(`{"id":"job-1","spec":%s}`, raw)
+		if err := os.WriteFile(filepath.Join(dir, "job-1"), []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		engine, err := drapid.New(drapid.WithJournalDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := engine.Recover(context.Background())
+		switch {
+		case name == "bad filterbank":
+			if err != nil || len(jobs) != 1 {
+				t.Errorf("%s: Recover = %d jobs, %v; want the job replayed", name, len(jobs), err)
+			} else if _, err := jobs[0].Wait(context.Background()); err == nil {
+				t.Errorf("%s: replayed job succeeded", name)
+			}
+		case err == nil:
+			t.Errorf("%s: replayed", name)
+		}
+		engine.Close()
+	}
+}
+
+// TestDetectJobHugeBlockSamples: a block_samples past the observation —
+// MaxInt64 here, which would wrap the gulp plus its overlap — searches the
+// observation in one gulp, exactly as a gulp of the whole observation
+// does, whether the spec arrives as a submission or as a journal entry a
+// restarted engine replays.
+func TestDetectJobHugeBlockSamples(t *testing.T) {
+	const spec = `{"synth":{"nchans":64,"nsamples":8192,"seed":3,` +
+		`"pulses":[{"time_sec":0.5,"dm":60,"width_ms":4,"snr":25}]},"dm_max":90,"dm_step":1,"block_samples":%d}`
+	engine, err := drapid.New(drapid.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	run := func(block int) drapid.Result {
+		var job drapid.DetectJob
+		if err := json.Unmarshal(fmt.Appendf(nil, spec, block), &job); err != nil {
+			t.Fatal(err)
+		}
+		j, err := engine.SubmitDetect(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("block_samples %d: %v", block, err)
+		}
+		return res
+	}
+	want := run(8192)
+	if want.Detections == 0 {
+		t.Fatal("whole-observation gulp found nothing to compare")
+	}
+	if got := run(math.MaxInt64); got.Detections != want.Detections || got.Records != want.Records {
+		t.Fatalf("MaxInt64 gulp: %d detections, %d records; want %d, %d",
+			got.Detections, got.Records, want.Detections, want.Records)
+	}
+
+	dir := t.TempDir()
+	entry := fmt.Sprintf(`{"id":"job-1","spec":`+spec+`}`, math.MaxInt64)
+	if err := os.WriteFile(filepath.Join(dir, "job-1"), []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := drapid.New(drapid.WithWorkers(2), drapid.WithJournalDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replay.Close()
+	jobs, err := replay.Recover(context.Background())
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("Recover = %d jobs, %v; want the entry replayed", len(jobs), err)
+	}
+	got, err := jobs[0].Wait(context.Background())
+	if err != nil {
+		t.Fatalf("replayed MaxInt64 gulp: %v", err)
+	}
+	if got.Detections != want.Detections || got.Records != want.Records {
+		t.Fatalf("replayed MaxInt64 gulp: %d detections, %d records; want %d, %d",
+			got.Detections, got.Records, want.Detections, want.Records)
 	}
 }
 

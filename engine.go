@@ -201,23 +201,25 @@ func New(opts ...Option) (*Engine, error) {
 }
 
 // IdentifyJob specifies one identification run: the SPE data and cluster
-// CSV inputs (Figure 3's two files) plus the knobs a caller may tune.
+// CSV inputs (Figure 3's two files) plus the knobs a caller may tune. Its
+// JSON form is the POST /v1/jobs body; ResultBuffer, which needs an
+// in-process Results reader, has none.
 type IdentifyJob struct {
 	// Data and Clusters are the two CSV inputs as raw lines (headers
 	// optional); Submit uploads them to the engine filesystem under the
 	// job's directory. They take precedence over DataFile/ClusterFile.
-	Data     []string
-	Clusters []string
+	Data     []string `json:"data"`
+	Clusters []string `json:"clusters"`
 	// DataFile and ClusterFile name files already present in the engine
 	// filesystem (e.g. uploaded once and shared by many jobs).
-	DataFile    string
-	ClusterFile string
+	DataFile    string `json:"data_file"`
+	ClusterFile string `json:"cluster_file"`
 	// FreqGHz and BandMHz parameterise the dedispersion-curve fit in
 	// feature extraction; zero takes the PALFA-like defaults (1.4, 300).
-	FreqGHz float64
-	BandMHz float64
+	FreqGHz float64 `json:"freq_ghz"`
+	BandMHz float64 `json:"band_mhz"`
 	// PartitionsPerCore overrides the engine default when positive.
-	PartitionsPerCore int
+	PartitionsPerCore int `json:"partitions_per_core"`
 	// ResultBuffer, when positive, paces the producer: once the
 	// furthest-ahead Results consumer is that many candidates behind,
 	// search workers block on emit until the stream is drained (streaming
@@ -228,7 +230,7 @@ type IdentifyJob struct {
 	// co-tenant jobs stall with it: use it on a dedicated engine. The
 	// candidate log is retained for replay in both modes; the buffer
 	// bounds the consumer lag, not the job's memory.
-	ResultBuffer int
+	ResultBuffer int `json:"-"`
 }
 
 // validate checks the spec names a usable pair of inputs.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"drapid/internal/dmgrid"
 	"drapid/internal/fleet"
 	"drapid/internal/rdd"
 	"drapid/internal/spe"
@@ -218,59 +217,33 @@ func (j *Job) updateFleet(s fleet.JobStatus) {
 	j.mu.Unlock()
 }
 
-// journalEntry is one persisted job: its identity and a replayable spec.
+// journalEntry is one persisted job: its identity and a replayable spec,
+// in DetectJob's own JSON form.
 type journalEntry struct {
 	ID   string    `json:"id"`
 	Spec DetectJob `json:"spec"`
 }
 
-// journalSpec is DetectJob's persisted form. DetectJob itself marshals
-// cleanly except FilterbankStream (an io.Reader, excluded by the
-// journal-able check).
-type journalSpec struct {
-	Filterbank   []byte     `json:"filterbank,omitempty"`
-	Synth        *SynthSpec `json:"synth,omitempty"`
-	Key          string     `json:"key,omitempty"`
-	DMMin        float64    `json:"dm_min,omitempty"`
-	DMMax        float64    `json:"dm_max,omitempty"`
-	DMStep       float64    `json:"dm_step,omitempty"`
-	Widths       []int      `json:"widths,omitempty"`
-	Threshold    float64    `json:"threshold,omitempty"`
-	NormWindow   int        `json:"norm_window,omitempty"`
-	NoZeroDM     bool       `json:"no_zero_dm,omitempty"`
-	Plan         string     `json:"plan,omitempty"`
-	BlockSamples int        `json:"block_samples,omitempty"`
-	ResultBuffer int        `json:"result_buffer,omitempty"`
-	Shards       int        `json:"shards,omitempty"`
-	ShardBy      string     `json:"shard_by,omitempty"`
-	Sift         Sift       `json:"sift"`
-}
-
-// MarshalJSON persists a DetectJob through journalSpec.
-func (spec DetectJob) MarshalJSON() ([]byte, error) {
-	return json.Marshal(journalSpec{
-		Filterbank: spec.Filterbank, Synth: spec.Synth, Key: spec.Key,
-		DMMin: spec.DMMin, DMMax: spec.DMMax, DMStep: spec.DMStep,
-		Widths: spec.Widths, Threshold: spec.Threshold, NormWindow: spec.NormWindow,
-		NoZeroDM: spec.NoZeroDM, Plan: spec.Plan, BlockSamples: spec.BlockSamples,
-		ResultBuffer: spec.ResultBuffer, Shards: spec.Shards, ShardBy: spec.ShardBy, Sift: spec.Sift,
-	})
-}
-
-// UnmarshalJSON restores a journaled DetectJob.
-func (spec *DetectJob) UnmarshalJSON(data []byte) error {
-	var js journalSpec
-	if err := json.Unmarshal(data, &js); err != nil {
-		return err
+// readJournalEntry parses one persisted job. Entries written before
+// DetectJob carried its own JSON names spell NoZeroDM "no_zero_dm": that
+// one-way alias is read here and never written. Their result_buffer has
+// no DetectJob name and is ignored, since a replayed job has no Results
+// reader to pace.
+func readJournalEntry(data []byte) (journalEntry, error) {
+	var ent journalEntry
+	var legacy struct {
+		Spec struct {
+			NoZeroDM bool `json:"no_zero_dm"`
+		} `json:"spec"`
 	}
-	*spec = DetectJob{
-		Filterbank: js.Filterbank, Synth: js.Synth, Key: js.Key,
-		DMMin: js.DMMin, DMMax: js.DMMax, DMStep: js.DMStep,
-		Widths: js.Widths, Threshold: js.Threshold, NormWindow: js.NormWindow,
-		NoZeroDM: js.NoZeroDM, Plan: js.Plan, BlockSamples: js.BlockSamples,
-		ResultBuffer: js.ResultBuffer, Shards: js.Shards, ShardBy: js.ShardBy, Sift: js.Sift,
+	if err := json.Unmarshal(data, &ent); err != nil {
+		return ent, err
 	}
-	return nil
+	if err := json.Unmarshal(data, &legacy); err != nil {
+		return ent, err
+	}
+	ent.Spec.NoZeroDM = ent.Spec.NoZeroDM || legacy.Spec.NoZeroDM
+	return ent, nil
 }
 
 // journalable reports whether the spec can be replayed from persisted
@@ -316,8 +289,8 @@ func (e *Engine) Recover(ctx context.Context) ([]*Job, error) {
 		if err != nil {
 			return jobs, fmt.Errorf("drapid: reading journal entry %q: %w", name, err)
 		}
-		var ent journalEntry
-		if err := json.Unmarshal(data, &ent); err != nil {
+		ent, err := readJournalEntry(data)
+		if err != nil {
 			return jobs, fmt.Errorf("drapid: parsing journal entry %q: %w", name, err)
 		}
 		j, err := e.submitDetect(ctx, ent.Spec, ent.ID)
@@ -356,7 +329,7 @@ func (e *Engine) claimID(id string) error {
 // so every event arrives at once and one segment keeps observation-global
 // features (ClusterRank) bit-identical to the unsharded run; time shards
 // stream through the quiet-gap segmenter like BlockSamples.
-func (e *Engine) fleetSource(j *Job, spec DetectJob, grid *dmgrid.Grid) (*eventSource, error) {
+func (e *Engine) fleetSource(j *Job, spec DetectJob, setup *detectSetup) (*eventSource, error) {
 	ingest := j.trace.Span(sps.StageIngest)
 	raw := spec.Filterbank
 	if spec.Synth != nil {
@@ -376,21 +349,15 @@ func (e *Engine) fleetSource(j *Job, spec DetectJob, grid *dmgrid.Grid) (*eventS
 	ingest.SetRecords(0, int64(hdr.NSamples))
 	ingest.AddBytes(int64(len(raw)))
 	ingest.End()
-	search := fleet.SearchSpec{
-		Widths:     spec.Widths,
-		Threshold:  spec.Threshold,
-		NormWindow: spec.NormWindow,
-		ZeroDM:     !spec.NoZeroDM,
-		Plan:       spec.Plan,
-	}
+	dms := setup.grid.Trials()
 	timeOrder := spec.ShardBy == ShardByTime
 	var shards []fleet.ShardSpec
 	if timeOrder {
-		if shards, err = fleet.PlanTime(j.id, raw, grid.Trials(), search, spec.Shards); err != nil {
+		if shards, err = fleet.PlanTime(j.id, raw, dms, setup.search, spec.Shards); err != nil {
 			return nil, err
 		}
 	} else {
-		shards = fleet.PlanDM(j.id, raw, grid.Trials(), search, spec.Shards)
+		shards = fleet.PlanDM(j.id, raw, dms, setup.search, spec.Shards)
 	}
 	j.setFleet(FleetProgress{Workers: e.coord.Workers(), Shards: len(shards)})
 	src := &eventSource{hdr: hdr, single: !timeOrder}

@@ -183,7 +183,12 @@ func TestRefusedBlobFailsAttempt(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "refused blob") || !strings.Contains(err.Error(), "413") {
 		t.Fatalf("refused blob: err = %v, want the worker's 413 named", err)
 	}
-	c := NewCoordinator(Config{Heartbeat: 5 * time.Millisecond, MaxAttempts: 2}, remote)
+	// The heartbeat outlasts the test, so the coordinator waits on the
+	// attempts and never on the clock: a tight one could mark the worker
+	// dead and cancel an attempt before its 413 arrived. A failed attempt
+	// marks its worker dead and no ping revives it, so the second attempt
+	// runs on a second handle to the same refusing worker.
+	c := NewCoordinator(Config{Heartbeat: time.Hour, MaxAttempts: 2}, remote, NewRemote("small-2", ts.URL, nil))
 	defer c.Close()
 	_, _, err = c.Run(context.Background(), shards[:1], func([]spe.SPE) error { return nil }, RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") || !strings.Contains(err.Error(), "413") {
@@ -194,6 +199,31 @@ func TestRefusedBlobFailsAttempt(t *testing.T) {
 	}
 	if n := puts.Load(); n != 3 {
 		t.Fatalf("%d blob uploads, want 3 (one per attempt)", n)
+	}
+}
+
+// TestRefusedBlobSingleWorker is TestRefusedBlobFailsAttempt on a fleet of
+// one worker: the retry should reach the same refusing worker at once and
+// fail after MaxAttempts. It cannot yet: a failed attempt marks its worker
+// dead whatever the cause, so the retry waits for the next heartbeat to
+// revive a worker that only answered 413 (ROADMAP item 3(d)).
+func TestRefusedBlobSingleWorker(t *testing.T) {
+	t.Skip("a refused blob marks its worker dead; the retry waits a heartbeat (ROADMAP item 3(d))")
+	_, raw := testObservation(t)
+	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}, 1)
+	var puts, posts atomic.Int64
+	ts := httptest.NewServer(countingHandler(NewHandler(testExec(), NewBlobCache(int64(len(raw))/2, nil)), &puts, &posts, 0))
+	defer ts.Close()
+	c := NewCoordinator(Config{Heartbeat: time.Hour, MaxAttempts: 2}, NewRemote("small", ts.URL, nil))
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, _, err := c.Run(ctx, shards, func([]spe.SPE) error { return nil }, RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") || !strings.Contains(err.Error(), "413") {
+		t.Fatalf("one refusing worker: err = %v, want failure after 2 attempts naming the 413", err)
+	}
+	if n := puts.Load(); n != 2 {
+		t.Fatalf("%d blob uploads, want 2 (one per attempt)", n)
 	}
 }
 

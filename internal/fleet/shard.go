@@ -14,12 +14,34 @@ import (
 // shares: the knobs of sps.Config that do not depend on the shard split.
 type SearchSpec struct {
 	// Widths, Threshold, NormWindow, ZeroDM and Plan mirror the fields of
-	// sps.Config / drapid.DetectJob.
+	// sps.Config / drapid.DetectJob. The wire names are the
+	// coordinator↔worker protocol, kept as they are so mixed-version
+	// fleets interoperate.
 	Widths     []int   `json:"widths,omitempty"`
 	Threshold  float64 `json:"threshold,omitempty"`
 	NormWindow int     `json:"norm_window,omitempty"`
 	ZeroDM     bool    `json:"zero_dm,omitempty"`
 	Plan       string  `json:"plan,omitempty"`
+}
+
+// Config maps the knobs onto the search of the trial grid dms on exec:
+// the one translation from a job's search knobs to sps.Config, shared by
+// the engine's own searches and RunShard. It fails only on an unknown
+// dedispersion plan.
+func (s SearchSpec) Config(dms []float64, exec rdd.ExecConfig) (sps.Config, error) {
+	kind, err := sps.ParsePlanKind(s.Plan)
+	if err != nil {
+		return sps.Config{}, err
+	}
+	return sps.Config{
+		DMs:        dms,
+		Widths:     s.Widths,
+		Threshold:  s.Threshold,
+		NormWindow: s.NormWindow,
+		ZeroDM:     s.ZeroDM,
+		Plan:       sps.DedispersePlan{Kind: kind},
+		Exec:       exec,
+	}, nil
 }
 
 // ShardSpec is one unit of fleet work: a restricted single-pulse search
@@ -110,23 +132,14 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 	if err != nil {
 		return sps.Stats{}, fmt.Errorf("fleet: shard %s/%d: reading filterbank: %w", spec.Job, spec.Index, err)
 	}
-	kind, err := sps.ParsePlanKind(spec.Search.Plan)
+	cfg, err := spec.Search.Config(spec.DMs, exec)
 	if err != nil {
 		return sps.Stats{}, fmt.Errorf("fleet: shard %s/%d: %w", spec.Job, spec.Index, err)
 	}
+	cfg.TrialLo, cfg.TrialHi = spec.TrialLo, spec.TrialHi
 	// The blob is searched in place, decoded tile by tile as it is staged.
 	var events []spe.SPE
-	stats, err := sps.SearchRaw(ctx, hdr, data, sps.Config{
-		DMs:        spec.DMs,
-		Widths:     spec.Search.Widths,
-		Threshold:  spec.Search.Threshold,
-		NormWindow: spec.Search.NormWindow,
-		ZeroDM:     spec.Search.ZeroDM,
-		Plan:       sps.DedispersePlan{Kind: kind},
-		TrialLo:    spec.TrialLo,
-		TrialHi:    spec.TrialHi,
-		Exec:       exec,
-	}, func(batch []spe.SPE) error {
+	stats, err := sps.SearchRaw(ctx, hdr, data, cfg, func(batch []spe.SPE) error {
 		events = append(events, batch...)
 		return nil
 	})

@@ -706,8 +706,11 @@ func searchMem(ctx context.Context, hdr Header, obs Block, cfg Config, emit func
 	if have != want {
 		return Stats{}, fmt.Errorf("sps: data has %d %s, header says %d", have, unit, want)
 	}
+	// A gulp past the observation is the whole observation; clamping it
+	// here keeps memSource's block+overlap from wrapping on a hostile size
+	// (BlockSamples arrives off the network in a POST /v1/detect body).
 	block := cfg.BlockSamples
-	if block == 0 {
+	if block == 0 || block > hdr.NSamples {
 		block = hdr.NSamples
 	}
 	return searchBlockStream(ctx, hdr, func(overlap int) (blockSource, error) {

@@ -49,9 +49,9 @@ func requiredSweep(hdr Header, dms []float64, plan *SubbandPlan) (overlap int, p
 
 // TestSearchStreamMatchesBatch is the equivalence gate of DESIGN.md §7:
 // for both dedispersion plans, several block sizes (including one exactly
-// at the sweep and one larger than the observation) and several worker
-// counts, the streaming emission must be record-for-record identical to
-// the batch search.
+// at the sweep, one larger than the observation and MaxInt, whose gulp
+// plus overlap must not wrap) and several worker counts, the streaming
+// emission must be record-for-record identical to the batch search.
 func TestSearchStreamMatchesBatch(t *testing.T) {
 	fb := streamFixture(t)
 	dms, err := LinearDMs(0, 180, 2)
@@ -72,7 +72,7 @@ func TestSearchStreamMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		sweep, _ := requiredSweep(fb.Header, dms, sub)
-		for _, block := range []int{sweep, sweep + 37, 1024, 4096, fb.NSamples, fb.NSamples + 999} {
+		for _, block := range []int{sweep, sweep + 37, 1024, 4096, fb.NSamples, fb.NSamples + 999, math.MaxInt} {
 			if block < 1 {
 				continue
 			}

@@ -87,12 +87,12 @@ type SynthConfig struct {
 	// Seed makes the noise stream deterministic.
 	Seed int64 `json:"seed,omitempty"`
 	// Pulses and RFI are the injected signals.
-	Pulses []InjectedPulse `json:"pulses,omitempty"`
+	Pulses []InjectedPulse `json:"pulses,omitzero"`
 	// RFI bursts to inject.
-	RFI []RFIBurst `json:"rfi,omitempty"`
+	RFI []RFIBurst `json:"rfi,omitzero"`
 	// Trains are repeating sources, expanded into individual pulses at
 	// generation time.
-	Trains []PulseTrain `json:"trains,omitempty"`
+	Trains []PulseTrain `json:"trains,omitzero"`
 }
 
 // withDefaults resolves zero geometry fields.
