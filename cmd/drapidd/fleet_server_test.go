@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -150,6 +151,39 @@ func TestSmokeFleetHTTP(t *testing.T) {
 	}
 	if f := prog.Progress.Fleet; f == nil || f.Shards != 2 || f.Done != 2 {
 		t.Fatalf("progress fleet = %+v, want 2/2 shards done", prog.Progress.Fleet)
+	}
+}
+
+// TestShardAxisOverHTTP: "dm" is the one shard axis a POST /v1/detect body
+// names; "time" is a 400 naming the axis, even with the explicit
+// NormWindow time sharding used to require and a fleet to shard over.
+func TestShardAxisOverHTTP(t *testing.T) {
+	engine, err := drapid.New(drapid.WithWorkers(2), drapid.WithFleetWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	ts := httptest.NewServer(newServer(engine, nil).handler())
+	defer ts.Close()
+	for axis, want := range map[string]int{drapid.ShardByDM: http.StatusAccepted, "time": http.StatusBadRequest} {
+		spec := fleetDetectReq(2)
+		spec.ShardBy, spec.NormWindow = axis, 1024
+		var body struct {
+			ID    string `json:"id"`
+			Error string `json:"error"`
+		}
+		resp := postJSON(t, ts.URL+"/v1/detect", spec, &body)
+		if resp.StatusCode != want {
+			t.Fatalf("shard_by %q: status %d, want %d (%s)", axis, resp.StatusCode, want, body.Error)
+		}
+		if want == http.StatusBadRequest && !strings.Contains(body.Error, `"time"`) {
+			t.Errorf("shard_by %q: error %q does not name the axis", axis, body.Error)
+		}
+		if job, ok := engine.Job(body.ID); ok {
+			if _, err := job.Wait(context.Background()); err != nil {
+				t.Fatalf("shard_by %q: %v", axis, err)
+			}
+		}
 	}
 }
 

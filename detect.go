@@ -167,9 +167,8 @@ type DetectJob struct {
 	// requires a fleet and is incompatible with the streaming inputs
 	// (FilterbankStream, BlockSamples); zero or one runs unsharded.
 	Shards int `json:"shards,omitempty"`
-	// ShardBy picks the shard axis: ShardByDM (the default, bit-exact) or
-	// ShardByTime (bounded per-worker input, approximate at seams,
-	// requires an explicit NormWindow).
+	// ShardBy names the shard axis. The one axis is ShardByDM, which ""
+	// also means.
 	ShardBy string `json:"shard_by,omitempty"`
 	// ResultBuffer bounds consumer lag exactly as for IdentifyJob. It is
 	// in-process only: a job with it set stalls until someone reads
@@ -236,6 +235,11 @@ func (spec DetectJob) validate() (*detectSetup, error) {
 	if n := gridTrials(lo, hi, step); !(n <= sps.MaxTrials) {
 		return nil, fmt.Errorf("drapid: DM grid [%g, %g] step %g has %g trials, more than %d", lo, hi, step, n, sps.MaxTrials)
 	}
+	for _, w := range spec.Widths {
+		if w < 1 {
+			return nil, fmt.Errorf("drapid: boxcar width %d must be >= 1", w)
+		}
+	}
 	if !(spec.Threshold >= 0) {
 		return nil, fmt.Errorf("drapid: threshold %g must be >= 0", spec.Threshold)
 	}
@@ -254,14 +258,8 @@ func (spec DetectJob) validate() (*detectSetup, error) {
 	if spec.Shards < 0 {
 		return nil, fmt.Errorf("drapid: Shards must be >= 0, got %d", spec.Shards)
 	}
-	switch spec.ShardBy {
-	case "", ShardByDM:
-	case ShardByTime:
-		if spec.Shards > 1 && spec.NormWindow <= 0 {
-			return nil, fmt.Errorf("drapid: time sharding requires an explicit NormWindow (global-moment normalisation cannot be sliced)")
-		}
-	default:
-		return nil, fmt.Errorf("drapid: unknown ShardBy %q (want %q or %q)", spec.ShardBy, ShardByDM, ShardByTime)
+	if spec.ShardBy != "" && spec.ShardBy != ShardByDM {
+		return nil, fmt.Errorf("drapid: unknown ShardBy %q (want %q)", spec.ShardBy, ShardByDM)
 	}
 	if spec.Shards > 1 && (spec.FilterbankStream != nil || spec.BlockSamples > 0) {
 		return nil, fmt.Errorf("drapid: sharding (Shards > 1) is incompatible with streaming inputs (FilterbankStream/BlockSamples)")

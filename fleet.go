@@ -25,19 +25,11 @@ import (
 // called: the engine finishes what it has but accepts nothing new.
 var ErrDraining = errors.New("drapid: engine is draining")
 
-// ShardBy values for DetectJob.ShardBy.
-const (
-	// ShardByDM splits the trial-DM grid across shards (the default).
-	// Every shard carries the whole observation and the full grid plus a
-	// trial sub-range, so the merged candidate stream is record-for-record
-	// identical to an unsharded run — bit-exact sharding.
-	ShardByDM = "dm"
-	// ShardByTime splits the observation into owned time ranges with
-	// dispersion-and-normalisation overlap. Bounded per-worker input, but
-	// approximate at shard seams (slice-local normalisation differs in
-	// final ulps); requires an explicit NormWindow.
-	ShardByTime = "time"
-)
+// ShardByDM is DetectJob.ShardBy's one axis, and its default: the
+// trial-DM grid is split across shards. Every shard carries the whole
+// observation and the full grid plus a trial sub-range, so the merged
+// candidate stream is record-for-record identical to an unsharded run.
+const ShardByDM = "dm"
 
 // WithFleetWorkers attaches n in-process fleet workers to the engine,
 // enabling sharded detect jobs (DetectJob.Shards > 1). Local workers
@@ -228,7 +220,9 @@ type journalEntry struct {
 // DetectJob carried its own JSON names spell NoZeroDM "no_zero_dm": that
 // one-way alias is read here and never written. Their result_buffer has
 // no DetectJob name and is ignored, since a replayed job has no Results
-// reader to pace.
+// reader to pace. Entries written while the fleet also sharded by time
+// may hold ShardBy "time": they replay on the DM axis, whose output is
+// the exact one time sharding approximated.
 func readJournalEntry(data []byte) (journalEntry, error) {
 	var ent journalEntry
 	var legacy struct {
@@ -243,6 +237,9 @@ func readJournalEntry(data []byte) (journalEntry, error) {
 		return ent, err
 	}
 	ent.Spec.NoZeroDM = ent.Spec.NoZeroDM || legacy.Spec.NoZeroDM
+	if ent.Spec.ShardBy == "time" {
+		ent.Spec.ShardBy = ShardByDM
+	}
 	return ent, nil
 }
 
@@ -321,14 +318,13 @@ func (e *Engine) claimID(id string) error {
 	return nil
 }
 
-// fleetSource is the sharded event source: plan shards and run them across
-// the coordinator's fleet, so the merged events — and the candidate and
-// sifted records the driver builds from them — are record-for-record what
-// a single-engine run produces (segment-partitioning invariance, DESIGN.md
-// §7.3, plus the fleet merge contract, §9). DM shards merge at a barrier,
-// so every event arrives at once and one segment keeps observation-global
-// features (ClusterRank) bit-identical to the unsharded run; time shards
-// stream through the quiet-gap segmenter like BlockSamples.
+// fleetSource is the sharded event source: plan DM shards and run them
+// across the coordinator's fleet, so the merged events — and the candidate
+// and sifted records the driver builds from them — are record-for-record
+// what a single-engine run produces (the fleet merge contract, DESIGN.md
+// §9). The shards merge at a barrier, so every event arrives at once and
+// one segment keeps observation-global features (ClusterRank)
+// bit-identical to the unsharded run.
 func (e *Engine) fleetSource(j *Job, spec DetectJob, setup *detectSetup) (*eventSource, error) {
 	ingest := j.trace.Span(sps.StageIngest)
 	raw := spec.Filterbank
@@ -340,7 +336,7 @@ func (e *Engine) fleetSource(j *Job, spec DetectJob, setup *detectSetup) (*event
 			return nil, fmt.Errorf("drapid: generating observation: %w", err)
 		}
 	}
-	// The header is all the coordinator decodes: shards carry or cut bytes.
+	// The header is all the coordinator decodes: every shard carries the bytes.
 	hdr, _, err := sps.ParseRaw(raw)
 	if err != nil {
 		ingest.End()
@@ -349,21 +345,11 @@ func (e *Engine) fleetSource(j *Job, spec DetectJob, setup *detectSetup) (*event
 	ingest.SetRecords(0, int64(hdr.NSamples))
 	ingest.AddBytes(int64(len(raw)))
 	ingest.End()
-	dms := setup.grid.Trials()
-	timeOrder := spec.ShardBy == ShardByTime
-	var shards []fleet.ShardSpec
-	if timeOrder {
-		if shards, err = fleet.PlanTime(j.id, raw, dms, setup.search, spec.Shards); err != nil {
-			return nil, err
-		}
-	} else {
-		shards = fleet.PlanDM(j.id, raw, dms, setup.search, spec.Shards)
-	}
+	shards := fleet.PlanDM(j.id, raw, setup.grid.Trials(), setup.search, spec.Shards)
 	j.setFleet(FleetProgress{Workers: e.coord.Workers(), Shards: len(shards)})
-	src := &eventSource{hdr: hdr, single: !timeOrder}
+	src := &eventSource{hdr: hdr, single: true}
 	src.run = func(emit func([]spe.SPE) error) (sps.Stats, error) {
 		stats, status, err := e.coord.Run(j.ctx, shards, emit, fleet.RunOptions{
-			TimeOrder:  timeOrder,
 			OnProgress: func(s fleet.JobStatus) { j.updateFleet(s) },
 		})
 		src.fleet = &FleetProgress{

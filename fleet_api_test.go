@@ -111,24 +111,6 @@ func TestFleetDetectMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// TestFleetTimeShardingRuns covers the approximate axis end to end: a
-// time-sharded job must run, stream candidates, and recover the injected
-// pulses (exact record identity is only promised for DM sharding).
-func TestFleetTimeShardingRuns(t *testing.T) {
-	engine, err := drapid.New(drapid.WithWorkers(4), drapid.WithFleetWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-	lines, res := runDetect(t, engine, fleetDetectJob(2, drapid.ShardByTime))
-	if len(lines) == 0 {
-		t.Fatal("time-sharded run produced no candidates")
-	}
-	if res.Fleet == nil || res.Fleet.Shards < 2 {
-		t.Fatalf("Result.Fleet = %+v, want >= 2 time shards", res.Fleet)
-	}
-}
-
 // flakyWorkerServer wraps a real worker handler but kills the first
 // shard request mid-stream — a worker process dying mid-shard, seen from
 // the coordinator's side of the wire.
@@ -317,7 +299,7 @@ func TestFleetValidation(t *testing.T) {
 	cases := map[string]drapid.DetectJob{
 		"no fleet":              {Synth: &spec, Shards: 2},
 		"bad axis":              {Synth: &spec, Shards: 2, ShardBy: "beam"},
-		"time without window":   {Synth: &spec, Shards: 2, ShardBy: drapid.ShardByTime},
+		"time axis":             {Synth: &spec, Shards: 2, ShardBy: "time"},
 		"shards with streaming": {Synth: &spec, Shards: 2, BlockSamples: 4096},
 		"negative shards":       {Synth: &spec, Shards: -1},
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -269,8 +270,9 @@ func (c *Coordinator) markDead(ws *workerState) {
 }
 
 // acquire blocks until an alive idle worker is available (or ctx is done
-// or the coordinator closes) and claims it.
-func (c *Coordinator) acquire(ctx context.Context) (*workerState, error) {
+// or the coordinator closes) and claims it. It takes avoid, the worker a
+// retried shard last failed on, only when no other worker is idle.
+func (c *Coordinator) acquire(ctx context.Context, avoid *workerState) (*workerState, error) {
 	stop := context.AfterFunc(ctx, func() {
 		c.mu.Lock()
 		c.cond.Broadcast()
@@ -290,10 +292,14 @@ func (c *Coordinator) acquire(ctx context.Context) (*workerState, error) {
 			return nil, fmt.Errorf("fleet: no workers")
 		}
 		for _, ws := range c.workers {
-			if ws.alive && !ws.busy {
+			if ws.alive && !ws.busy && ws != avoid {
 				ws.busy = true
 				return ws, nil
 			}
+		}
+		if avoid != nil && avoid.alive && !avoid.busy {
+			avoid.busy = true
+			return avoid, nil
 		}
 		// Every worker busy or dead: wait for a release, a revival, or
 		// cancellation. A fleet that is entirely dead parks here until the
@@ -331,30 +337,24 @@ type runJob struct {
 	doneCount int
 	running   int
 	resub     int
-	emitNext  int  // next shard index to emit (time-ordered merge)
-	emitting  bool // an emitter is draining the watermark prefix
-	failed    error
+	// lastWorker is the worker of the shard's last failed attempt, which
+	// its retry avoids while another worker is idle.
+	lastWorker []*workerState
+	failed     error
 }
 
 // RunOptions configure one sharded run.
 type RunOptions struct {
-	// TimeOrder marks the shards as a time partition: shard events are
-	// emitted in watermark order — shard k flushes downstream as soon as
-	// shards 0..k have all completed — so candidates stream while later
-	// time ranges are still searching. Off (DM sharding), shards span the
-	// whole observation and the merge is a barrier: every shard's events
-	// are folded and canonically time-sorted once all shards are done.
-	TimeOrder bool
 	// OnProgress, when non-nil, observes every shard state change.
 	OnProgress func(JobStatus)
 }
 
 // Run executes a sharded job: dispatches every shard across the fleet,
 // resubmits shards lost to worker failure (bounded by MaxAttempts), and
-// delivers the merged event stream to emit exactly as a single-engine
-// search over the same job would have (see the package comment for the
-// exactness contract). emit is never called concurrently. Returns the
-// folded search stats and the final shard status.
+// once every shard is done delivers the merged events to emit exactly as
+// a single-engine search over the same job would have (see the package
+// comment for the exactness contract). Returns the folded search stats
+// and the final shard status.
 func (c *Coordinator) Run(ctx context.Context, shards []ShardSpec, emit func([]spe.SPE) error, opts RunOptions) (sps.Stats, JobStatus, error) {
 	if len(shards) == 0 {
 		return sps.Stats{}, JobStatus{}, fmt.Errorf("fleet: no shards")
@@ -362,12 +362,13 @@ func (c *Coordinator) Run(ctx context.Context, shards []ShardSpec, emit func([]s
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	j := &runJob{
-		shards:   shards,
-		results:  make([][]spe.SPE, len(shards)),
-		stats:    make([]sps.Stats, len(shards)),
-		done:     make([]bool, len(shards)),
-		attempts: make([]int, len(shards)),
-		queuedAt: make([]time.Time, len(shards)),
+		shards:     shards,
+		results:    make([][]spe.SPE, len(shards)),
+		stats:      make([]sps.Stats, len(shards)),
+		done:       make([]bool, len(shards)),
+		attempts:   make([]int, len(shards)),
+		queuedAt:   make([]time.Time, len(shards)),
+		lastWorker: make([]*workerState, len(shards)),
 	}
 	todo := make(chan int, len(shards)*c.cfg.MaxAttempts)
 	now := time.Now()
@@ -397,7 +398,10 @@ dispatch:
 		case <-runCtx.Done():
 			break dispatch
 		case i := <-todo:
-			ws, err := c.acquire(runCtx)
+			j.mu.Lock()
+			avoid := j.lastWorker[i]
+			j.mu.Unlock()
+			ws, err := c.acquire(runCtx, avoid)
 			if err != nil {
 				c.addQueued(-1)
 				j.mu.Lock()
@@ -412,7 +416,7 @@ dispatch:
 			wg.Add(1)
 			go func(i int, ws *workerState) {
 				defer wg.Done()
-				c.runShard(runCtx, cancel, j, i, ws, todo, emit, opts)
+				c.runShard(runCtx, cancel, j, i, ws, todo, opts)
 				maybeFinish()
 			}(i, ws)
 		}
@@ -446,19 +450,17 @@ dispatch:
 			stats.StageSeconds[name] += secs
 		}
 	}
-	if !opts.TimeOrder {
-		// Barrier merge: fold shard outputs in shard order and canonically
-		// sort — byte-identical to the single-engine fold (shards are
-		// disjoint trial ranges, and SortByTime is a total order).
-		var all []spe.SPE
-		for _, evs := range j.results {
-			all = append(all, evs...)
-		}
-		spe.SortByTime(all)
-		if len(all) > 0 && emit != nil {
-			if err := emit(all); err != nil {
-				return stats, status, err
-			}
+	// Barrier merge: fold shard outputs in shard order and canonically sort
+	// — byte-identical to the single-engine fold (shards are disjoint trial
+	// ranges, and SortByTime is a total order).
+	var all []spe.SPE
+	for _, evs := range j.results {
+		all = append(all, evs...)
+	}
+	spe.SortByTime(all)
+	if len(all) > 0 && emit != nil {
+		if err := emit(all); err != nil {
+			return stats, status, err
 		}
 	}
 	return stats, status, nil
@@ -468,7 +470,7 @@ dispatch:
 // routes its outcome: success folds into the merge, failure requeues or
 // fails the job.
 func (c *Coordinator) runShard(runCtx context.Context, cancelRun context.CancelCauseFunc, j *runJob,
-	i int, ws *workerState, todo chan<- int, emit func([]spe.SPE) error, opts RunOptions) {
+	i int, ws *workerState, todo chan<- int, opts RunOptions) {
 	shardCtx, cancelShard := context.WithCancel(runCtx)
 	defer cancelShard()
 	c.mu.Lock()
@@ -511,16 +513,6 @@ func (c *Coordinator) runShard(runCtx context.Context, cancelRun context.CancelC
 		}
 		j.mu.Unlock()
 		c.progress(j, opts)
-		if opts.TimeOrder {
-			if err := c.emitWatermark(j, emit); err != nil {
-				j.mu.Lock()
-				if j.failed == nil {
-					j.failed = err
-				}
-				j.mu.Unlock()
-				cancelRun(err)
-			}
-		}
 	case runCtx.Err() != nil:
 		// The job is being torn down (failure elsewhere, or caller
 		// cancellation): don't requeue, don't blame the worker.
@@ -531,13 +523,17 @@ func (c *Coordinator) runShard(runCtx context.Context, cancelRun context.CancelC
 	default:
 		// The attempt failed — shard error, or the heartbeat monitor
 		// cancelled a dead worker's context. Blame the worker (the next
-		// heartbeat revives a healthy one) and recompute the shard
-		// elsewhere, within the attempt bound.
-		c.markDead(ws)
+		// heartbeat revives a healthy one), unless it only refused this
+		// request, and recompute the shard elsewhere, within the attempt
+		// bound.
+		if !errors.As(err, new(refusedError)) {
+			c.markDead(ws)
+		}
 		c.release(ws)
 		j.mu.Lock()
 		j.running--
 		j.resub++
+		j.lastWorker[i] = ws
 		attempts := j.attempts[i]
 		fail := attempts >= c.cfg.MaxAttempts
 		if fail && j.failed == nil {
@@ -561,39 +557,6 @@ func (c *Coordinator) runShard(runCtx context.Context, cancelRun context.CancelC
 		}
 		c.progress(j, opts)
 	}
-}
-
-// emitWatermark drains the contiguous completed prefix of a time-ordered
-// job: shard k's events flush once shards 0..k are all done. Exactly one
-// goroutine drains at a time, so emit is never called concurrently and
-// batches leave in shard (= time) order.
-func (c *Coordinator) emitWatermark(j *runJob, emit func([]spe.SPE) error) error {
-	if emit == nil {
-		return nil
-	}
-	j.mu.Lock()
-	if j.emitting {
-		j.mu.Unlock()
-		return nil // the active emitter will pick our shard up
-	}
-	j.emitting = true
-	for j.emitNext < len(j.shards) && j.done[j.emitNext] {
-		events := j.results[j.emitNext]
-		j.emitNext++
-		j.mu.Unlock()
-		if len(events) > 0 {
-			if err := emit(events); err != nil {
-				j.mu.Lock()
-				j.emitting = false
-				j.mu.Unlock()
-				return err
-			}
-		}
-		j.mu.Lock()
-	}
-	j.emitting = false
-	j.mu.Unlock()
-	return nil
 }
 
 // progress reports a job snapshot to the observer, outside any lock the

@@ -6,19 +6,16 @@
 // produced — the paper's Spark-over-YARN scale-out story recast onto the
 // engine's own primitives.
 //
-// The shard unit is a restricted single-pulse search (ShardSpec):
-// every shard carries the full observation metadata and the FULL trial-DM
-// grid, plus either a trial sub-range (DM sharding, the default) or an
-// owned time range over a sliced observation (time sharding). Carrying
-// the whole grid is what makes DM sharding bit-exact: dedispersion-plan
+// The shard unit is a restricted single-pulse search (ShardSpec): every
+// shard carries the whole observation and the FULL trial-DM grid, plus
+// the trial sub-range it searches. DM is the one shard axis. Carrying the
+// whole grid is what makes the split bit-exact: dedispersion-plan
 // resolution — including the subband nominal grid and the trial→nominal
 // assignment of DESIGN.md §6 — derives from the full grid on every
 // worker, so a trial computed on any worker is bit-identical to the same
 // trial in an unsharded run, and the canonical time-ordered merge of the
-// shard outputs is record-for-record the single-engine event stream.
-// Time sharding trades that bit-exactness (slice-local normalisation
-// prefix sums differ in final ulps from whole-series ones) for bounded
-// per-worker input, and is documented as approximate at shard seams.
+// shard outputs, taken at a barrier once every shard is done, is
+// record-for-record the single-engine event stream.
 //
 // Fault tolerance follows the paper's RDD lineage discipline: shards are
 // deterministic pure recomputations, so a worker lost mid-shard (detected
@@ -26,7 +23,9 @@
 // resubmitted to another worker, bounded by Config.MaxAttempts. Partial
 // results of a failed attempt are discarded — a shard's events enter the
 // merge only when its attempt completes — so resubmission can never
-// duplicate or reorder merged output.
+// duplicate or reorder merged output. A worker's 4xx answer (a blob past
+// its cache bound, say) refuses that one request and is no sign of death:
+// the worker stays in rotation, and the retry prefers another idle worker.
 //
 // Workers come in two placements: Local (an in-process searcher over an
 // rdd executor, used by tests, benchmarks and single-host fleets) and

@@ -137,122 +137,6 @@ func collectShard(s ShardSpec) ([]spe.SPE, sps.Stats, error) {
 	return evs, stats, err
 }
 
-// TestTimeShardingNearExact checks the documented contract of the
-// approximate axis: time shards cover every owned range exactly once,
-// merged events arrive in time order, and almost all events match the
-// unsharded run exactly on (Sample, DM, Downfact) — only seam-adjacent
-// detections may differ, by ulp-level normalisation drift.
-func TestTimeShardingNearExact(t *testing.T) {
-	fb, raw := testObservation(t)
-	dms := testGrid()
-	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
-	want := unshardedEvents(t, fb, search, dms)
-	shards, err := PlanTime("job", raw, dms, search, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) < 2 {
-		t.Fatalf("PlanTime produced %d shards, want >= 2", len(shards))
-	}
-	var got []spe.SPE
-	for _, s := range shards {
-		evs, _, err := collectShard(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(evs); i++ {
-			if evs[i].Time < evs[i-1].Time {
-				t.Fatalf("shard %d events not time-ordered", s.Index)
-			}
-		}
-		got = append(got, evs...)
-	}
-	type key struct {
-		sample   int64
-		dm       float64
-		downfact int
-	}
-	seen := make(map[key]bool, len(got))
-	for _, e := range got {
-		k := key{e.Sample, e.DM, e.Downfact}
-		if seen[k] {
-			t.Fatalf("duplicate event across shards: %+v", e)
-		}
-		seen[k] = true
-	}
-	matched := 0
-	for _, e := range want {
-		if seen[key{e.Sample, e.DM, e.Downfact}] {
-			matched++
-		}
-	}
-	if frac := float64(matched) / float64(len(want)); frac < 0.9 {
-		t.Fatalf("only %d/%d (%.0f%%) of unsharded events recovered by time shards",
-			matched, len(want), 100*frac)
-	}
-}
-
-// TestPlanTimeRequiresNormWindow pins the documented restriction.
-func TestPlanTimeRequiresNormWindow(t *testing.T) {
-	_, raw := testObservation(t)
-	if _, err := PlanTime("job", raw, testGrid(), SearchSpec{Threshold: 6}, 2); err == nil {
-		t.Fatal("PlanTime accepted NormWindow = 0")
-	}
-}
-
-// TestPlanTimeSlicesBytes pins the byte-level time slicing against the
-// decode-and-re-encode oracle it replaced: for both sample widths every
-// shard's bytes equal sps.Write of the decoded slice, so shard digests —
-// and blob-cache behaviour — are those of the decoding planner.
-func TestPlanTimeSlicesBytes(t *testing.T) {
-	dms := testGrid()
-	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
-	for _, nbits := range []int{8, 32} {
-		fb, err := sps.Generate(sps.SynthConfig{NChans: 33, NSamples: 9001, TsampSec: 256e-6, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb.NBits = nbits
-		var buf bytes.Buffer
-		if err := sps.Write(&buf, fb); err != nil {
-			t.Fatal(err)
-		}
-		raw := buf.Bytes()
-		shards, err := PlanTime("job", raw, dms, search, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(shards) < 2 {
-			t.Fatalf("nbits %d: %d shards, want >= 2", nbits, len(shards))
-		}
-		// The oracle: decode the whole observation, re-encode each slice.
-		obs, err := sps.Read(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range shards {
-			rows := s.Filterbank
-			lo := int(s.SampleOff)
-			hdr, _, err := sps.ParseRaw(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slice := &sps.Filterbank{Header: obs.Header, Data: obs.Data[lo*obs.NChans : (lo+hdr.NSamples)*obs.NChans]}
-			slice.NSamples = hdr.NSamples
-			var want bytes.Buffer
-			if err := sps.Write(&want, slice); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rows, want.Bytes()) {
-				t.Fatalf("nbits %d shard %d: %d sliced bytes differ from the %d-byte re-encoded slice", nbits, s.Index, len(rows), want.Len())
-			}
-			if s.FilterbankDigest != Digest(want.Bytes()) {
-				t.Fatalf("nbits %d shard %d: digest differs from the re-encoded slice's", nbits, s.Index)
-			}
-		}
-	}
-}
-
 // fakeWorker scripts Worker behaviour for coordinator tests.
 type fakeWorker struct {
 	name string
@@ -419,42 +303,6 @@ func TestCoordinatorMaxAttempts(t *testing.T) {
 	}
 }
 
-// TestCoordinatorWatermarkOrder runs a time-ordered job whose shards
-// complete in reverse and checks emission still arrives in shard order.
-func TestCoordinatorWatermarkOrder(t *testing.T) {
-	// Shard 0 is slowest, shard 3 fastest: completion order is reversed.
-	slowByIndex := &fakeWorker{name: "w"}
-	slowByIndex.run = func(ctx context.Context, spec ShardSpec, emit func([]spe.SPE) error) (sps.Stats, error) {
-		return okRun(time.Duration(3-spec.Index)*40*time.Millisecond)(ctx, spec, emit)
-	}
-	peers := []*fakeWorker{slowByIndex, {name: "x", run: slowByIndex.run},
-		{name: "y", run: slowByIndex.run}, {name: "z", run: slowByIndex.run}}
-	c := NewCoordinator(Config{Heartbeat: time.Hour}, peers[0], peers[1], peers[2], peers[3])
-	defer c.Close()
-
-	var mu sync.Mutex
-	var order []int64
-	_, _, err := c.Run(context.Background(), fakeShards(4), func(evs []spe.SPE) error {
-		mu.Lock()
-		for _, e := range evs {
-			order = append(order, e.Sample)
-		}
-		mu.Unlock()
-		return nil
-	}, RunOptions{TimeOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 4 {
-		t.Fatalf("emitted %d events, want 4", len(order))
-	}
-	for i, s := range order {
-		if s != int64(i) {
-			t.Fatalf("watermark emission order %v, want shard-index order", order)
-		}
-	}
-}
-
 // TestHTTPWorkerRoundTrip drives a real shard through the HTTP protocol
 // and checks the remote result is identical to running it locally.
 func TestHTTPWorkerRoundTrip(t *testing.T) {
@@ -572,7 +420,6 @@ func TestShardSpecValidate(t *testing.T) {
 		"no filterbank": {Job: "j", DMs: []float64{0}},
 		"no grid":       {Job: "j", Filterbank: raw},
 		"trial range":   {Job: "j", Filterbank: raw, DMs: []float64{0, 1}, TrialLo: 1, TrialHi: 5},
-		"owned range":   {Job: "j", Filterbank: raw, DMs: []float64{0}, OwnLo: 5, OwnHi: 2},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%s: Validate accepted %+v", name, bad)

@@ -34,19 +34,44 @@ import (
 // observation blob once per worker cache lifetime and then ships only
 // its SHA-256 in every shard spec. A digest the worker no longer holds
 // fails the POST with 412, which the client answers by re-uploading
-// once; a refused upload or a second 412 fails the attempt. The
-// response is a stream of length-prefixed frames (frame.go) that ends
-// in a stats or error frame: a response that ends without one
-// (connection cut, worker killed) is a failed attempt, which the
-// coordinator resubmits — and events are only folded into the merge when
-// the terminator arrives, so a half-streamed response never contaminates
-// merged output.
+// once; a refused upload or a second 412 fails the attempt, and a 4xx
+// leaves the worker alive (refusedError). The response is a stream of
+// length-prefixed frames (frame.go) that ends in a stats or error
+// frame: a response that ends without one (connection cut, worker
+// killed) is a failed attempt, which the coordinator resubmits — and
+// events are only folded into the merge when the terminator arrives, so
+// a half-streamed response never contaminates merged output.
 
 // maxShardSpecBytes bounds a POST /v1/shard body. The largest legal spec
 // is dominated by its trial grid: sps.MaxTrials DMs of at most 25 bytes of
 // JSON each (a 24-character shortest float64 plus its comma). A MiB of
 // slack covers the widths, names and numbers around it.
 const maxShardSpecBytes = sps.MaxTrials*25 + 1<<20
+
+// decodeShardSpec reads a POST /v1/shard body strictly: a field ShardSpec
+// does not have, such as an older coordinator's time-shard own_hi, is an
+// error naming it rather than silently dropped.
+func decodeShardSpec(r io.Reader) (ShardSpec, error) {
+	var spec ShardSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// refusedError is a worker's 4xx answer: the worker refused that one
+// request, which says nothing about its health, so the coordinator
+// retries the shard without marking the worker dead.
+type refusedError struct{ error }
+
+// answered is err for a worker's non-success answer of the given status,
+// a refusedError when the status is a 4xx.
+func answered(status int, err error) error {
+	if status >= 400 && status < 500 {
+		return refusedError{err}
+	}
+	return err
+}
 
 // Handler serves the worker side of the shard protocol with a
 // default-bounded blob cache: what tests and single-host fleets mount.
@@ -127,8 +152,8 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 		w.WriteHeader(http.StatusCreated)
 	})
 	mux.HandleFunc("POST /v1/shard", func(w http.ResponseWriter, r *http.Request) {
-		var spec ShardSpec
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardSpecBytes)).Decode(&spec); err != nil {
+		spec, err := decodeShardSpec(http.MaxBytesReader(w, r.Body, maxShardSpecBytes))
+		if err != nil {
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -324,8 +349,8 @@ func (r *Remote) ensureBlob(ctx context.Context, digest string, data []byte) err
 
 // putBlob uploads one blob: a streaming body with Content-Length (no
 // full-body JSON copy), optionally gzip-compressed. A refusal (413 past
-// the worker's cache bound, 400 on a digest mismatch) is an error naming
-// the worker's answer.
+// the worker's cache bound, 400 on a digest mismatch) is a refusedError
+// naming the worker's answer.
 func (r *Remote) putBlob(ctx context.Context, digest string, data []byte) error {
 	var body *bytes.Reader
 	encoding := ""
@@ -358,8 +383,8 @@ func (r *Remote) putBlob(ctx context.Context, digest string, data []byte) error 
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("worker refused blob %.12s (%d bytes): %s: %s",
-			digest, len(data), resp.Status, strings.TrimSpace(string(msg)))
+		return answered(resp.StatusCode, fmt.Errorf("worker refused blob %.12s (%d bytes): %s: %s",
+			digest, len(data), resp.Status, strings.TrimSpace(string(msg))))
 	}
 	io.Copy(io.Discard, resp.Body)
 	r.sent.Add(float64(body.Size()))
@@ -381,7 +406,7 @@ func (c *countReader) Read(p []byte) (int, error) {
 
 // post executes one shard RPC. missing reports a 412 blob-not-cached
 // answer (the caller re-uploads and retries); every other non-200 is an
-// error.
+// error, a refusedError for a 4xx.
 func (r *Remote) post(ctx context.Context, spec ShardSpec, emit func([]spe.SPE) error) (stats sps.Stats, missing bool, err error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -409,8 +434,8 @@ func (r *Remote) post(ctx context.Context, spec ShardSpec, emit func([]spe.SPE) 
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return sps.Stats{}, false, fmt.Errorf("fleet: worker %s shard %s/%d: %s: %s",
-			r.name, spec.Job, spec.Index, resp.Status, strings.TrimSpace(string(msg)))
+		return sps.Stats{}, false, answered(resp.StatusCode, fmt.Errorf("fleet: worker %s shard %s/%d: %s: %s",
+			r.name, spec.Job, spec.Index, resp.Status, strings.TrimSpace(string(msg))))
 	}
 	cr := &countReader{r: resp.Body}
 	defer func() { r.recv.Add(float64(cr.n)) }()

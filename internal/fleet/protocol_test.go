@@ -3,9 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -203,12 +206,10 @@ func TestRefusedBlobFailsAttempt(t *testing.T) {
 }
 
 // TestRefusedBlobSingleWorker is TestRefusedBlobFailsAttempt on a fleet of
-// one worker: the retry should reach the same refusing worker at once and
-// fail after MaxAttempts. It cannot yet: a failed attempt marks its worker
-// dead whatever the cause, so the retry waits for the next heartbeat to
-// revive a worker that only answered 413 (ROADMAP item 3(d)).
+// one worker: a refusal does not mark the worker dead, so the retry
+// reaches the same refusing worker at once, not after a heartbeat, and
+// the job fails after MaxAttempts.
 func TestRefusedBlobSingleWorker(t *testing.T) {
-	t.Skip("a refused blob marks its worker dead; the retry waits a heartbeat (ROADMAP item 3(d))")
 	_, raw := testObservation(t)
 	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}, 1)
 	var puts, posts atomic.Int64
@@ -225,6 +226,135 @@ func TestRefusedBlobSingleWorker(t *testing.T) {
 	if n := puts.Load(); n != 2 {
 		t.Fatalf("%d blob uploads, want 2 (one per attempt)", n)
 	}
+}
+
+// TestRefusedBlobRetriesElsewhere: the retry of a shard whose blob a small
+// worker refused goes to the other, larger worker, although the refusing
+// one is listed first and stays alive; the job succeeds after one refused
+// upload with the events of a local run.
+func TestRefusedBlobRetriesElsewhere(t *testing.T) {
+	_, raw := testObservation(t)
+	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}, 1)
+	var smallPuts, largePuts, posts atomic.Int64
+	small := httptest.NewServer(countingHandler(NewHandler(testExec(), NewBlobCache(int64(len(raw))/2, nil)), &smallPuts, &posts, 0))
+	defer small.Close()
+	large := httptest.NewServer(countingHandler(NewHandler(testExec(), NewBlobCache(0, nil)), &largePuts, &posts, 0))
+	defer large.Close()
+	c := NewCoordinator(Config{Heartbeat: time.Hour, MaxAttempts: 2},
+		NewRemote("small", small.URL, nil), NewRemote("large", large.URL, nil))
+	defer c.Close()
+	want, _, err := collectShard(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var got []spe.SPE
+	_, status, err := c.Run(ctx, shards, func(evs []spe.SPE) error {
+		got = append(got, evs...)
+		return nil
+	}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eventsEqual(want, got) {
+		t.Fatalf("retried shard's events differ from a local run (%d vs %d)", len(got), len(want))
+	}
+	if status.Resubmitted != 1 || smallPuts.Load() != 1 || largePuts.Load() != 1 {
+		t.Fatalf("resubmitted %d, uploads small %d large %d; want 1, 1, 1",
+			status.Resubmitted, smallPuts.Load(), largePuts.Load())
+	}
+	if alive := c.Status().WorkersAlive; alive != 2 {
+		t.Fatalf("WorkersAlive = %d, want 2 (a refusal is not a death)", alive)
+	}
+}
+
+// TestWorkerAnswerClassified: a worker's 4xx answer to a shard POST is a
+// refusal, which leaves the worker in rotation; a 5xx is a failure.
+func TestWorkerAnswerClassified(t *testing.T) {
+	_, raw := testObservation(t)
+	spec := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6}, 1)[0]
+	for _, tc := range []struct {
+		answer  int
+		refused bool
+	}{
+		{http.StatusBadRequest, true},
+		{http.StatusNotFound, true},
+		{http.StatusInternalServerError, false},
+		{http.StatusServiceUnavailable, false},
+	} {
+		var puts, posts atomic.Int64
+		ts := httptest.NewServer(countingHandler(NewHandler(testExec(), NewBlobCache(0, nil)), &puts, &posts, tc.answer))
+		_, err := NewRemote("w", ts.URL, nil).Run(context.Background(), spec, func([]spe.SPE) error { return nil })
+		ts.Close()
+		if err == nil {
+			t.Fatalf("answer %d: no error", tc.answer)
+		}
+		if got := errors.As(err, new(refusedError)); got != tc.refused {
+			t.Errorf("answer %d: refusal = %v, want %v (%v)", tc.answer, got, tc.refused, err)
+		}
+	}
+}
+
+// legacyTimeShard is a POST /v1/shard body from a coordinator that still
+// sharded by time: a ShardSpec with the owned-range fields sample_off,
+// own_lo and own_hi, which a worker must not silently drop.
+const legacyTimeShard = `{"job":"job-3","index":1,"shards":2,"attempt":1,` +
+	`"filterbank_digest":"7ec155cb3c8aa3f0b8b528f5bca0ba41e9c854a70c5866447b807c08bd396f2f",` +
+	`"dms":[0,10,20],"search":{"threshold":6,"norm_window":256},"sample_off":1530,"own_lo":2048,"own_hi":4096}`
+
+// TestShardSpecStrict: a time shard is answered 400 naming the first field
+// a ShardSpec does not have, instead of being searched as a DM shard whose
+// overlap events come back as its own.
+func TestShardSpecStrict(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/shard", "application/json", strings.NewReader(legacyTimeShard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "sample_off") {
+		t.Fatalf("time shard: %s %s, want 400 naming sample_off", resp.Status, msg)
+	}
+}
+
+// FuzzShardSpec holds the shard request decoder on arbitrary bytes: a
+// strict decode followed by Validate never panics, and a spec that
+// validates survives json.Marshal → strict decode DeepEqual and validates
+// again, so what a coordinator sends is what the worker runs. The seeds
+// are PlanDM's specs and a time shard from an older coordinator.
+func FuzzShardSpec(f *testing.F) {
+	search := SearchSpec{Widths: []int{1, 2, 4}, Threshold: 6, NormWindow: 256, ZeroDM: true, Plan: "subband"}
+	for _, s := range PlanDM("job-1", []byte("observation"), testGrid(), search, 3) {
+		body, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(legacyTimeShard))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeShardSpec(bytes.NewReader(body))
+		if err != nil || spec.Validate() != nil {
+			return
+		}
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("valid spec does not marshal: %v", err)
+		}
+		back, err := decodeShardSpec(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("marshalled spec does not decode: %v\n%s", err, data)
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Fatalf("spec drifted through JSON:\n%+v\n→ %s\n→ %+v", spec, data, back)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("round-tripped spec no longer validates: %v", err)
+		}
+	})
 }
 
 // TestSecond412FailsAttempt: a blob evicted again right after its

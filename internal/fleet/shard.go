@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -16,8 +15,9 @@ type SearchSpec struct {
 	// Widths, Threshold, NormWindow, ZeroDM and Plan mirror the fields of
 	// sps.Config / drapid.DetectJob. The wire names are the
 	// coordinator↔worker protocol, kept as they are so mixed-version
-	// fleets interoperate.
-	Widths     []int   `json:"widths,omitempty"`
+	// fleets interoperate. An empty but present Widths survives a round
+	// trip (omitzero).
+	Widths     []int   `json:"widths,omitzero"`
 	Threshold  float64 `json:"threshold,omitempty"`
 	NormWindow int     `json:"norm_window,omitempty"`
 	ZeroDM     bool    `json:"zero_dm,omitempty"`
@@ -56,11 +56,11 @@ type ShardSpec struct {
 	// Attempt counts dispatches of this shard (first dispatch is 1); the
 	// coordinator sets it.
 	Attempt int `json:"attempt,omitempty"`
-	// Filterbank is the raw SIGPROC observation this shard searches: the
-	// whole observation for DM shards, the owned slice plus overlap for
-	// time shards. It never crosses the wire: a Local worker reads it in
-	// memory, and a Remote one uploads it as the blob FilterbankDigest
-	// names, which the worker resolves from its cache (DESIGN.md §12).
+	// Filterbank is the whole raw SIGPROC observation, the same bytes in
+	// every shard of a job. It never crosses the wire: a Local worker
+	// reads it in memory, and a Remote one uploads it as the blob
+	// FilterbankDigest names, which the worker resolves from its cache
+	// (DESIGN.md §12).
 	Filterbank []byte `json:"-"`
 	// FilterbankDigest is the content address (lowercase hex SHA-256) of
 	// Filterbank. Planning always sets it; a spec shipped by digest alone
@@ -72,18 +72,9 @@ type ShardSpec struct {
 	DMs    []float64  `json:"dms"`
 	Search SearchSpec `json:"search"`
 	// TrialLo and TrialHi restrict the search to [TrialLo, TrialHi) of
-	// DMs (DM sharding). Both zero searches every trial (time sharding).
+	// DMs, the shard's part of the job. Both zero searches every trial.
 	TrialLo int `json:"trial_lo,omitempty"`
 	TrialHi int `json:"trial_hi,omitempty"`
-	// SampleOff, OwnLo and OwnHi are the time-sharding geometry: the
-	// global sample index of the slice's first sample, and the half-open
-	// global sample range this shard owns. Events outside the owned range
-	// are boundary overlap and are dropped; kept events are rebased to
-	// global sample indices and times. OwnHi == 0 means the shard owns
-	// everything it detects (DM sharding).
-	SampleOff int64 `json:"sample_off,omitempty"`
-	OwnLo     int64 `json:"own_lo,omitempty"`
-	OwnHi     int64 `json:"own_hi,omitempty"`
 }
 
 // Validate checks the shard is executable: it must carry the
@@ -107,17 +98,12 @@ func (s ShardSpec) Validate() error {
 				s.Job, s.Index, s.TrialLo, s.TrialHi, len(s.DMs))
 		}
 	}
-	if s.OwnHi < 0 || s.OwnLo < 0 || (s.OwnHi > 0 && s.OwnLo >= s.OwnHi) {
-		return fmt.Errorf("fleet: shard %s/%d bad owned range [%d, %d)", s.Job, s.Index, s.OwnLo, s.OwnHi)
-	}
 	return nil
 }
 
 // RunShard executes one shard on the given executor: the shared core of
-// the Local worker and the HTTP worker handler. Events are delivered to
-// emit time-sorted, filtered to the shard's owned range, and rebased to
-// global sample indices; the Time of a rebased event is recomputed with
-// the same float64(sample)*tsamp arithmetic the search uses.
+// the Local worker and the HTTP worker handler. The shard's events are
+// delivered to emit time-sorted, in one batch once the search completes.
 func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit func([]spe.SPE) error) (sps.Stats, error) {
 	if err := spec.Validate(); err != nil {
 		return sps.Stats{}, err
@@ -145,20 +131,6 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 	})
 	if err != nil {
 		return stats, err
-	}
-	if spec.OwnHi > 0 {
-		kept := events[:0]
-		for _, e := range events {
-			g := e.Sample + spec.SampleOff
-			if g < spec.OwnLo || g >= spec.OwnHi {
-				continue
-			}
-			e.Sample = g
-			e.Time = float64(g) * hdr.TsampSec
-			kept = append(kept, e)
-		}
-		events = kept
-		stats.Events = len(events)
 	}
 	if len(events) > 0 && emit != nil {
 		if err := emit(events); err != nil {
@@ -200,70 +172,4 @@ func PlanDM(job string, raw []byte, dms []float64, search SearchSpec, n int) []S
 		shards[i].Shards = len(shards)
 	}
 	return shards
-}
-
-// PlanTime splits a job into up to n time shards: contiguous owned sample
-// ranges, each shipped as its slice of the raw observation — the header
-// with the slice's sample count, then the slice's bytes, never decoded —
-// padded by an overlap that covers the largest dispersion sweep, the
-// normalisation window and the boxcar merge reach. n is clamped so every
-// slice is long enough to search every trial the whole observation can (a
-// slice shorter than the largest sweep would silently skip trials the
-// single-engine run searches). Time shards require an explicit NormWindow:
-// whole-series (global-moment) normalisation is inherently unsliceable.
-func PlanTime(job string, raw []byte, dms []float64, search SearchSpec, n int) ([]ShardSpec, error) {
-	if search.NormWindow <= 0 {
-		return nil, fmt.Errorf("fleet: time sharding requires an explicit NormWindow (global-moment normalisation cannot be sliced)")
-	}
-	hdr, data, err := sps.ParseRaw(raw)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: reading filterbank: %w", err)
-	}
-	maxWidth := 1
-	widths := search.Widths
-	if len(widths) == 0 {
-		widths = sps.DefaultWidths()
-	}
-	for _, w := range widths {
-		if w > maxWidth {
-			maxWidth = w
-		}
-	}
-	sweep := sps.MaxShift(hdr, dms[len(dms)-1])
-	overlap := sweep + search.NormWindow + 4*maxWidth
-	if maxShards := hdr.NSamples / (overlap + 1); n > maxShards {
-		n = maxShards
-	}
-	if n < 1 {
-		n = 1
-	}
-	own := (hdr.NSamples + n - 1) / n
-	rowBytes := hdr.NChans * hdr.NBits / 8
-	var shards []ShardSpec
-	for i := 0; i < n; i++ {
-		ownLo := i * own
-		ownHi := min((i+1)*own, hdr.NSamples)
-		if ownHi <= ownLo {
-			continue
-		}
-		sliceLo := max(ownLo-overlap, 0)
-		sliceHi := min(ownHi+overlap, hdr.NSamples)
-		slice := hdr
-		slice.NSamples = sliceHi - sliceLo
-		var buf bytes.Buffer
-		if err := sps.WriteHeader(&buf, slice); err != nil {
-			return nil, fmt.Errorf("fleet: slicing shard %d: %w", i, err)
-		}
-		buf.Write(data[sliceLo*rowBytes : sliceHi*rowBytes])
-		shards = append(shards, ShardSpec{
-			Job: job, Index: len(shards),
-			// Time shards carry distinct slices, so each hashes its own.
-			Filterbank: buf.Bytes(), FilterbankDigest: Digest(buf.Bytes()), DMs: dms, Search: search,
-			SampleOff: int64(sliceLo), OwnLo: int64(ownLo), OwnHi: int64(ownHi),
-		})
-	}
-	for i := range shards {
-		shards[i].Shards = len(shards)
-	}
-	return shards, nil
 }

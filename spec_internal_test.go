@@ -101,7 +101,7 @@ func TestDetectJobJournalRoundTrip(t *testing.T) {
 		            "rfi": [{"time_sec": 0.3, "width_ms": 1, "amp": 4}],
 		            "trains": [{"start_sec": 0.1, "period_sec": 0.1, "count": 2, "dm": 20,
 		                        "width_ms": 1, "snr": 10}]},
-		  "dm_max": 40, "dm_step": 1, "norm_window": 512, "shards": 2, "shard_by": "time"}`,
+		  "dm_max": 40, "dm_step": 1, "norm_window": 512, "shards": 2, "shard_by": "dm"}`,
 	}
 	store := &logStore{m: map[string][]byte{}}
 	first, err := New(WithWorkers(2), WithFleetWorkers(2))
@@ -225,6 +225,77 @@ func TestLegacyJournalEntry(t *testing.T) {
 	}
 	if res.Records == 0 {
 		t.Fatal("replayed legacy job identified nothing from an SNR-20 pulse")
+	}
+}
+
+// TestLegacyTimeShardEntry replays an entry written while the fleet also
+// sharded by time (testdata/journal/job-9, "shard_by": "time"): it reads
+// back on the DM axis, and on a 2-worker in-process fleet it replays as a
+// 2-shard DM job whose candidates equal the unsharded run's, where it used
+// to run the approximate time split.
+func TestLegacyTimeShardEntry(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "journal", "job-9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, err := readJournalEntry(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ent.Spec.ShardBy != ShardByDM || ent.Spec.Shards != 2 {
+		t.Fatalf("legacy time entry reads as shards=%d shard_by=%q, want 2 %q", ent.Spec.Shards, ent.Spec.ShardBy, ShardByDM)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "job-9"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	engine, err := New(WithWorkers(2), WithFleetWorkers(2), WithJournalDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	run := func(job *Job) ([]string, Result) {
+		t.Helper()
+		var lines []string
+		for c, err := range job.ResultsContext(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, c.CSV())
+		}
+		res, err := job.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(lines)
+		return lines, res
+	}
+	jobs, err := engine.Recover(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].ID() != "job-9" {
+		t.Fatalf("Recover returned %d jobs, want job-9 alone", len(jobs))
+	}
+	got, gotRes := run(jobs[0])
+	unsharded := ent.Spec
+	unsharded.Shards, unsharded.ShardBy = 0, ""
+	ref, err := engine.SubmitDetect(ctx, unsharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantRes := run(ref)
+	if len(want) == 0 {
+		t.Fatal("unsharded run found no candidates")
+	}
+	if !reflect.DeepEqual(got, want) || gotRes.Detections != wantRes.Detections {
+		t.Fatalf("replayed entry: %d candidates from %d detections, unsharded %d from %d",
+			len(got), gotRes.Detections, len(want), wantRes.Detections)
+	}
+	if gotRes.Fleet == nil || gotRes.Fleet.Shards != 2 || gotRes.Fleet.Done != 2 {
+		t.Fatalf("replayed entry's fleet view %+v, want 2 DM shards done", gotRes.Fleet)
 	}
 }
 
