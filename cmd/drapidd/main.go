@@ -229,9 +229,10 @@ func serveDebug(addr string, reg *obs.Registry, logger *slog.Logger) {
 
 // runWorker serves the fleet shard protocol (GET /v1/shard/ping,
 // HEAD/PUT /v1/blob/{digest}, POST /v1/shard) plus /healthz and
-// /metrics: the whole of a worker daemon. Shard execution is stateless
-// — the blob cache is pure content-addressed data, re-uploadable by any
-// coordinator — so workers need no journal and no drain: SIGTERM lets
+// /metrics: the whole of a worker daemon. A worker holds only state
+// derived from content — the blob cache, re-uploadable by any
+// coordinator, and the staging of the last observation it searched — so
+// workers need no journal and no drain: SIGTERM lets
 // in-flight shard requests finish within the drain bound and the
 // coordinator resubmits anything cut off.
 func runWorker(addr, debugAddr string, workers, blobCacheMiB int, drainWait time.Duration, logger *slog.Logger) error {

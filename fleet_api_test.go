@@ -87,7 +87,9 @@ func TestFleetDetectMatchesSingleEngine(t *testing.T) {
 		t.Fatal("reference run produced no candidates")
 	}
 
-	for _, tc := range []struct{ shards, workers int }{{2, 2}, {3, 2}, {5, 3}} {
+	// One worker × 4 shards runs every shard after the first on the
+	// staging its Local's slot kept from the first.
+	for _, tc := range []struct{ shards, workers int }{{2, 2}, {3, 2}, {5, 3}, {4, 1}} {
 		engine, err := drapid.New(drapid.WithWorkers(4), drapid.WithFleetWorkers(tc.workers))
 		if err != nil {
 			t.Fatal(err)

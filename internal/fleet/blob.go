@@ -123,10 +123,18 @@ func (c *BlobCache) Contains(digest string) bool {
 // least-recently-used blobs until the cache fits its bound. A blob
 // larger than the whole bound is refused.
 func (c *BlobCache) Put(digest string, data []byte) error {
+	return c.put(digest, sha256.Sum256(data), data)
+}
+
+// put is Put for data whose SHA-256 the caller computed as it received
+// the bytes (sum): the blob upload handler hashes while it reads, so the
+// bytes stored are exactly the bytes hashed, and nothing hashes them
+// twice.
+func (c *BlobCache) put(digest string, sum [sha256.Size]byte, data []byte) error {
 	if err := ValidDigest(digest); err != nil {
 		return err
 	}
-	if got := Digest(data); got != digest {
+	if got := hex.EncodeToString(sum[:]); got != digest {
 		return fmt.Errorf("fleet: blob content hashes to %s, not %s", got, digest)
 	}
 	if int64(len(data)) > c.max {

@@ -125,6 +125,100 @@ func TestDMShardingBitExact(t *testing.T) {
 			}
 		}
 	}
+
+	// The slot leg: one Local runs every shard of every split through its
+	// staging slot, so only the first shard of each observation and
+	// zero-DM setting stages and every later one reuses that staging.
+	for _, nbits := range []int{32, 8} {
+		fb, raw := testObservationBits(t, nbits)
+		w := NewLocal("slot", testExec())
+		for _, zeroDM := range []bool{false, true} {
+			for _, plan := range []string{"brute", "subband"} {
+				search := SearchSpec{Threshold: 6, Plan: plan, NormWindow: 1024, ZeroDM: zeroDM}
+				want := unshardedEvents(t, fb, search, dms)
+				if len(want) == 0 {
+					t.Fatalf("%d-bit plan %s zero-DM %v: reference search found no events", nbits, plan, zeroDM)
+				}
+				staged, reused := w.slot.staged.Value(), w.slot.reused.Value()
+				runs := 0
+				for _, n := range []int{2, 3, 7} {
+					var got []spe.SPE
+					for _, s := range PlanDM("job", raw, dms, search, n) {
+						if _, err := w.Run(context.Background(), s, func(batch []spe.SPE) error {
+							got = append(got, batch...)
+							return nil
+						}); err != nil {
+							t.Fatalf("%d-bit plan %s zero-DM %v shards %d: %v", nbits, plan, zeroDM, n, err)
+						}
+						runs++
+					}
+					spe.SortByTime(got)
+					if !eventsEqual(want, got) {
+						t.Fatalf("%d-bit plan %s zero-DM %v shards %d through the slot: merged events differ from unsharded (%d vs %d)",
+							nbits, plan, zeroDM, n, len(got), len(want))
+					}
+				}
+				// Plans share a staging: only a zero-DM change restages.
+				wantStaged := 0.0
+				if plan == "brute" {
+					wantStaged = 1
+				}
+				if s, r := w.slot.staged.Value()-staged, w.slot.reused.Value()-reused; s != wantStaged || s+r != float64(runs) {
+					t.Fatalf("%d-bit plan %s zero-DM %v: %v staged and %v reused over %d shards, want %v staged",
+						nbits, plan, zeroDM, s, r, runs, wantStaged)
+				}
+			}
+		}
+	}
+}
+
+// testObservationBits is testObservation stored with nbits-wide samples,
+// returning the filterbank as read back from its raw bytes.
+func testObservationBits(t *testing.T, nbits int) (*sps.Filterbank, []byte) {
+	t.Helper()
+	fb, raw := testObservation(t)
+	if nbits == fb.NBits {
+		return fb, raw
+	}
+	fb.NBits = nbits
+	var buf bytes.Buffer
+	if err := sps.Write(&buf, fb); err != nil {
+		t.Fatal(err)
+	}
+	back, err := sps.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back, buf.Bytes()
+}
+
+// TestSlotRestagesOnZeroDMFlip: a shard of the digest the slot holds but
+// under the other zero-DM setting restages, and so does the flip back;
+// each shard's events equal a stateless run of it.
+func TestSlotRestagesOnZeroDMFlip(t *testing.T) {
+	_, raw := testObservation(t)
+	w := NewLocal("flip", testExec())
+	staged, reused := w.slot.staged.Value(), w.slot.reused.Value()
+	for i, zeroDM := range []bool{false, true, true, false} {
+		shard := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024, ZeroDM: zeroDM}, 4)[i]
+		want, _, err := collectShard(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []spe.SPE
+		if _, err := w.Run(context.Background(), shard, func(batch []spe.SPE) error {
+			got = append(got, batch...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !eventsEqual(want, got) {
+			t.Fatalf("shard %d zero-DM %v through the slot: events differ from a stateless run (%d vs %d)", i, zeroDM, len(got), len(want))
+		}
+	}
+	if s, r := w.slot.staged.Value()-staged, w.slot.reused.Value()-reused; s != 3 || r != 1 {
+		t.Fatalf("%v staged, %v reused; want 3 and 1 (every zero-DM flip restages)", s, r)
+	}
 }
 
 // collectShard runs one shard locally and buffers its events.

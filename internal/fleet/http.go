@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,6 +28,7 @@ import (
 //	HEAD /v1/blob/{digest}      → 204 cached | 404 not cached
 //	PUT  /v1/blob/{digest}      ← raw observation bytes (optional gzip)
 //	                            → 201 stored (content verified against digest)
+//	                              413 declared length past the cache bound
 //	POST /v1/shard              ← JSON ShardSpec naming its observation by digest
 //	                            → binary event frames + exactly one terminator
 //
@@ -79,8 +81,14 @@ func Handler(exec rdd.ExecConfig) http.Handler { return NewHandler(exec, nil) }
 
 // NewHandler serves the worker side of the shard protocol over the given
 // executor and blob cache (nil: a DefaultBlobCacheBytes cache counting
-// into obs.Default) — what `drapidd -worker` mounts. Shard execution is
-// stateless; the blob cache is pure content-addressed state, so a worker
+// into obs.Default) — what `drapidd -worker` mounts. A plain upload with
+// a Content-Length is received once into a buffer of exactly that length
+// and hashed as it arrives (putExact). The handler keeps one staging slot
+// (DESIGN.md §9.1): the channel-major staging of the last observation it
+// searched, which its next shards of the same blob and zero-DM setting
+// reuse — concurrently, read-only — instead of decoding, zero-DMing and
+// transposing it again; drapid_fleet_staging_total counts both outcomes.
+// Both the blob cache and the slot are derived from content, so a worker
 // process can still be killed and replaced at will (the coordinator
 // treats the cut connection as a failed attempt, resubmits, and
 // re-uploads whatever blobs the replacement is missing).
@@ -88,6 +96,7 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 	if cache == nil {
 		cache = NewBlobCache(0, obs.Default)
 	}
+	slot := newStagingSlot()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/shard/ping", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -122,6 +131,10 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 		digest := r.PathValue("digest")
 		if err := ValidDigest(digest); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if r.ContentLength >= 0 && r.Header.Get("Content-Encoding") != "gzip" {
+			putExact(w, r, cache, digest)
 			return
 		}
 		var src io.Reader = http.MaxBytesReader(w, r.Body, cache.Max())
@@ -180,7 +193,7 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 		w.WriteHeader(http.StatusOK)
 		fw := &frameWriter{w: w}
 		served := time.Now()
-		stats, err := RunShard(r.Context(), spec, exec, func(events []spe.SPE) error {
+		stats, err := runShard(r.Context(), spec, exec, slot, func(events []spe.SPE) error {
 			if err := fw.writeEvents(events); err != nil {
 				return err
 			}
@@ -200,6 +213,43 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 		}
 	})
 	return mux
+}
+
+// putExact is the PUT /v1/blob handler for a plain body of declared
+// length: one buffer of exactly that length, filled as the bytes arrive
+// and hashed chunk by chunk as they land, so the bytes stored are the
+// bytes hashed and the observation is neither regrown nor read twice. A
+// declared length past the cache bound is a 413 before anything is
+// allocated; a body shorter or longer than it declares is a 400.
+func putExact(w http.ResponseWriter, r *http.Request, cache *BlobCache, digest string) {
+	if r.ContentLength > cache.Max() {
+		http.Error(w, fmt.Sprintf("blob of %d bytes exceeds the cache bound of %d", r.ContentLength, cache.Max()),
+			http.StatusRequestEntityTooLarge)
+		return
+	}
+	data := make([]byte, r.ContentLength)
+	h := sha256.New()
+	for n := 0; n < len(data); {
+		k, err := r.Body.Read(data[n:])
+		h.Write(data[n : n+k])
+		n += k
+		if err != nil && n < len(data) {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			http.Error(w, fmt.Sprintf("reading blob: %d of %d bytes: %v", n, len(data), err), http.StatusBadRequest)
+			return
+		}
+	}
+	if k, _ := r.Body.Read(make([]byte, 1)); k > 0 {
+		http.Error(w, fmt.Sprintf("blob body runs past its declared %d bytes", len(data)), http.StatusBadRequest)
+		return
+	}
+	if err := cache.put(digest, [sha256.Size]byte(h.Sum(nil)), data); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.WriteHeader(http.StatusCreated)
 }
 
 // Remote is a worker behind the HTTP shard protocol: the coordinator's

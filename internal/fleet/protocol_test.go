@@ -2,14 +2,19 @@ package fleet
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -416,5 +421,198 @@ func TestShardSpecBounded(t *testing.T) {
 	_, err = NewRemote("w0", ts.URL, nil).Run(context.Background(), spec, func([]spe.SPE) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "no filterbank") {
 		t.Fatalf("spec without a digest: err = %v, want it refused for having no filterbank", err)
+	}
+}
+
+// putBlobRequest is a PUT /v1/blob request carrying body under the given
+// declared length and digest, gzip-encoded when gz is set.
+func putBlobRequest(body []byte, declared int64, digest string, gz bool) (*http.Request, error) {
+	req, err := http.NewRequest(http.MethodPut, "/v1/blob/"+url.PathEscape(digest), bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.ContentLength = declared
+	if gz {
+		req.Header.Set("Content-Encoding", "gzip")
+	}
+	return req, nil
+}
+
+// gzipped compresses b.
+func gzipped(b []byte) []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(b)
+	zw.Close()
+	return buf.Bytes()
+}
+
+// FuzzBlobPut drives the PUT /v1/blob handler with an arbitrary body,
+// declared length, digest and gzip flag. A plain upload that declares its
+// length is stored only when the body is exactly that many bytes and they
+// hash to the digest; one declared past the cache bound is a 413. A gzip
+// or length-less upload is stored only when what it decodes to fits the
+// bound and hashes to the digest. Whatever is stored hashes to its digest,
+// and no upload allocates past the bound: a declared length costs at most
+// one buffer of itself, never of a length past the bound.
+func FuzzBlobPut(f *testing.F) {
+	const bound = 1 << 16
+	honest := []byte("observation")
+	d := Digest(honest)
+	f.Add(honest, int64(len(honest)), d, false)
+	f.Add(honest, int64(-1), d, false)
+	f.Add(honest, int64(len(honest)+1), d, false)
+	f.Add(honest, int64(len(honest)-1), Digest(honest[:len(honest)-1]), false)
+	f.Add(honest, int64(bound+1), d, false)
+	f.Add(gzipped(honest), int64(-1), d, true)
+	f.Add(gzipped(honest), int64(len(gzipped(honest))), d, true)
+	f.Add([]byte{}, int64(0), Digest(nil), false)
+	f.Add(honest, int64(len(honest)), "not-a-digest", false)
+	f.Fuzz(func(t *testing.T, body []byte, declared int64, digest string, gz bool) {
+		// Declared lengths run to 16× the bound, which a handler that
+		// allocated them before checking would show in its allocations.
+		if declared = declared % (16 * bound); declared < 0 {
+			declared = -1
+		}
+		req, err := putBlobRequest(body, declared, digest, gz)
+		if err != nil {
+			return
+		}
+		cache := NewBlobCache(bound, nil)
+		h := NewHandler(testExec(), cache)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+
+		plain := !gz && declared >= 0
+		want, ok := body, true
+		if gz {
+			ok = len(body) <= bound
+			if zr, err := gzip.NewReader(bytes.NewReader(body)); err != nil {
+				ok = false
+			} else if want, err = io.ReadAll(io.LimitReader(zr, bound+1)); err != nil {
+				ok = false
+			}
+		}
+		if plain {
+			ok = int64(len(body)) == declared
+		}
+		ok = ok && len(want) <= bound && ValidDigest(digest) == nil && Digest(want) == digest
+		stored := ValidDigest(digest) == nil && cache.Contains(digest)
+		if stored != ok || stored != (rec.Code == http.StatusCreated) {
+			t.Fatalf("%d-byte body declared %d, gzip %v, digest %q: stored %v with status %d, want stored %v",
+				len(body), declared, gz, digest, stored, rec.Code, ok)
+		}
+		if stored {
+			if got, _ := cache.Get(digest); !bytes.Equal(got, want) {
+				t.Fatalf("stored %d bytes differ from the %d uploaded", len(got), len(want))
+			}
+		}
+		if ValidDigest(digest) != nil {
+			return // refused from its URL, whose length its parsing costs
+		}
+		if plain && declared > bound && rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("declared %d past the %d-byte bound: status %d, want 413", declared, bound, rec.Code)
+		}
+		limit := uint64(3*bound + 256<<10) // the bounded read: growth plus the gzip state
+		if plain {
+			limit = 32 << 10
+			if declared <= bound {
+				limit += uint64(declared)
+			}
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+			t.Fatalf("%d-byte body declared %d, gzip %v: allocated %d bytes, want <= %d", len(body), declared, gz, alloc, limit)
+		}
+	})
+}
+
+// TestBlobPutAllocatesOnce: a plain upload of declared length costs the
+// worker one buffer of the blob — no regrowth, no second copy — across
+// the whole HTTP round trip, client included.
+func TestBlobPutAllocatesOnce(t *testing.T) {
+	blob := bytes.Repeat([]byte("0123456789abcdef"), 1<<18) // 4 MiB
+	ts := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
+	defer ts.Close()
+	put := func(data []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/blob/"+Digest(data), bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload: %s", resp.Status)
+		}
+	}
+	put([]byte("warm the connection"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	put(blob)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(blob))*11/10 {
+		t.Fatalf("uploading a %d-byte blob allocated %d bytes (%.2f×), want < 1.1×",
+			len(blob), alloc, float64(alloc)/float64(len(blob)))
+	}
+}
+
+// TestConcurrentShardsShareStaging: shards of one digest running at once
+// on one handler — first on a cold slot, then on the staging it
+// published — each return the events of a stateless run, and the warm
+// pair both reuse the published staging. Meant for go test -race.
+func TestConcurrentShardsShareStaging(t *testing.T) {
+	_, raw := testObservation(t)
+	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "subband", NormWindow: 1024, ZeroDM: true}, 4)
+	ts := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
+	defer ts.Close()
+	remote := NewRemote("w0", ts.URL, nil)
+	counter := func(outcome string) float64 {
+		return obs.Default.Counter("drapid_fleet_staging_total", "", obs.L("outcome", outcome)).Value()
+	}
+	pair := func(a, b ShardSpec) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, s := range []ShardSpec{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				want, _, err := collectShard(s)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				var got []spe.SPE
+				if _, err := remote.Run(context.Background(), s, func(evs []spe.SPE) error {
+					got = append(got, evs...)
+					return nil
+				}); err != nil {
+					errs[i] = err
+					return
+				}
+				if !eventsEqual(want, got) {
+					errs[i] = fmt.Errorf("shard %d: events differ from a stateless run (%d vs %d)", s.Index, len(got), len(want))
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	staged, reused := counter("staged"), counter("reused")
+	pair(shards[0], shards[1])
+	warm := counter("reused")
+	pair(shards[2], shards[3])
+	if s, r := counter("staged")-staged, counter("reused")-reused; s+r != 4 || counter("reused")-warm != 2 {
+		t.Fatalf("%v staged, %v reused over 4 shards, %v reused by the warm pair; want 4 shards, the warm pair reusing",
+			s, r, counter("reused")-warm)
 	}
 }

@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"sync"
 
+	"drapid/internal/obs"
 	"drapid/internal/rdd"
 	"drapid/internal/spe"
 	"drapid/internal/sps"
@@ -101,10 +103,19 @@ func (s ShardSpec) Validate() error {
 	return nil
 }
 
-// RunShard executes one shard on the given executor: the shared core of
-// the Local worker and the HTTP worker handler. The shard's events are
-// delivered to emit time-sorted, in one batch once the search completes.
+// RunShard executes one shard on the given executor, statelessly: it
+// parses, zero-DMs and stages the observation for itself, however many
+// shards of it ran before. Local and the NewHandler worker run the same
+// core through their staging slot (stagingSlot), which keeps one staging
+// between shards. The shard's events are delivered to emit time-sorted,
+// in one batch once the search completes.
 func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit func([]spe.SPE) error) (sps.Stats, error) {
+	return runShard(ctx, spec, exec, nil, emit)
+}
+
+// runShard is RunShard with the staging taken from, or published to, slot
+// (nil: staged privately).
+func runShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, slot *stagingSlot, emit func([]spe.SPE) error) (sps.Stats, error) {
 	if err := spec.Validate(); err != nil {
 		return sps.Stats{}, err
 	}
@@ -123,6 +134,9 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 		return sps.Stats{}, fmt.Errorf("fleet: shard %s/%d: %w", spec.Job, spec.Index, err)
 	}
 	cfg.TrialLo, cfg.TrialHi = spec.TrialLo, spec.TrialHi
+	key := stagingKey{spec.FilterbankDigest, spec.Search.ZeroDM}
+	st, fresh := slot.acquire(key, hdr, data)
+	cfg.Staging = st
 	// The blob is searched in place, decoded tile by tile as it is staged.
 	var events []spe.SPE
 	stats, err := sps.SearchRaw(ctx, hdr, data, cfg, func(batch []spe.SPE) error {
@@ -132,12 +146,76 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 	if err != nil {
 		return stats, err
 	}
+	if fresh {
+		slot.publish(key, st)
+	}
 	if len(events) > 0 && emit != nil {
 		if err := emit(events); err != nil {
 			return stats, err
 		}
 	}
 	return stats, nil
+}
+
+// stagingKey names what a staging slot holds: one observation blob under
+// one zero-DM setting, the only inputs of its staging. The digest is the
+// content's identity, which the handle's own record of its buffer is not:
+// a caller that rewrites a buffer in place and plans it again gets a new
+// digest, so the slot restages although the buffer is the same.
+type stagingKey struct {
+	digest string
+	zeroDM bool
+}
+
+// stagingSlot is a worker's one reusable observation staging (DESIGN.md
+// §9.1), so the DM shards of one observation that land on one worker
+// decode, zero-DM and transpose it once. A shard that finds the slot
+// holding its key reuses the published staging read-only, alongside any
+// concurrent shard of the same blob. Any other shard drops the slot's
+// staging before it stages — the worker never keeps two — and publishes
+// its own fresh one only once its search completed. At rest the slot
+// holds at most one staging: 4 bytes per sample and channel.
+type stagingSlot struct {
+	mu  sync.Mutex
+	key stagingKey
+	st  *sps.Staging
+
+	staged, reused *obs.Counter
+}
+
+func newStagingSlot() *stagingSlot {
+	const name, help = "drapid_fleet_staging_total", "Shards by how they got their observation's channel-major staging: reused from the worker's slot, or staged afresh."
+	return &stagingSlot{
+		staged: obs.Default.Counter(name, help, obs.L("outcome", "staged")),
+		reused: obs.Default.Counter(name, help, obs.L("outcome", "reused")),
+	}
+}
+
+// acquire returns the staging handle for a shard of key over data (hdr
+// and data as ParseRaw returns them): the published one when it holds
+// exactly that staging, else — fresh — a new one, after dropping the old.
+// A nil slot, or a spec without a digest, stages privately (nil handle).
+func (s *stagingSlot) acquire(key stagingKey, hdr sps.Header, data []byte) (st *sps.Staging, fresh bool) {
+	if s == nil || key.digest == "" {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.key == key && s.st.Holds(hdr, data, key.zeroDM) {
+		s.reused.Inc()
+		return s.st, false
+	}
+	s.key, s.st = stagingKey{}, nil
+	s.staged.Inc()
+	return new(sps.Staging), true
+}
+
+// publish makes st, the fresh handle of a completed search, the slot's
+// staging for key.
+func (s *stagingSlot) publish(key stagingKey, st *sps.Staging) {
+	s.mu.Lock()
+	s.key, s.st = key, st
+	s.mu.Unlock()
 }
 
 // PlanDM splits a job into n DM shards: contiguous, balanced sub-ranges

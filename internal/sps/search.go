@@ -57,6 +57,12 @@ type Config struct {
 	// Zero searches the observation as one gulp: every trial's whole series
 	// is normalised and matched-filtered at once, with no carries.
 	BlockSamples int
+	// Staging, when non-nil, carries the channel-major staging of a whole
+	// raw observation from one one-gulp search to the next search of the
+	// same bytes (Staging; DESIGN.md §9.1). It never changes an event: a
+	// handle that holds another observation's staging, or any gulped or
+	// decoded search, stages as if it were nil.
+	Staging *Staging
 	// Exec configures the worker pool the DM trials fan out on — the same
 	// executor the distributed engine's stages use, so a search submitted
 	// through the engine shares its host pool (and token-bucket limiter)

@@ -517,8 +517,9 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 	var batch []spe.SPE // emitReady's reused gather buffer
 	// Each gulp is staged channel-major once and shared read-only by every
 	// trial's (or nominal's) task, so the staging cost amortises over the
-	// whole trial grid.
-	cm := &chanMajor{}
+	// whole trial grid — and, through cfg.Staging, over every search of the
+	// same observation.
+	scratch := &chanMajor{}
 	for {
 		tRead := time.Now()
 		blk, err := src.Next()
@@ -539,7 +540,8 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 		// The zero-DM filter fuses into the staging. Row means are per
 		// row, so the carried overlap rows — raw bytes again in this gulp
 		// — recompute bit-identically, and no row is ever filtered twice.
-		if err := cm.stage(ctx, cfg.Exec, blk, hdr.NChans, cfg.ZeroDM, sc); err != nil {
+		cm, err := cfg.Staging.stage(ctx, cfg.Exec, blk, hdr.NChans, cfg.ZeroDM, sc, scratch)
+		if err != nil {
 			return stats, err
 		}
 		switch {
