@@ -63,6 +63,7 @@ type BlobCache struct {
 	entries map[string]*list.Element
 
 	hits, misses, evictions *obs.Counter
+	evicted                 []func(digest string) // under mu; called outside it
 }
 
 // NewBlobCache builds a cache bounded to maxBytes (DefaultBlobCacheBytes
@@ -140,7 +141,7 @@ func (c *BlobCache) put(digest string, sum [sha256.Size]byte, data []byte) error
 	if int64(len(data)) > c.max {
 		return fmt.Errorf("fleet: blob %s is %d bytes, cache bound is %d", digest, len(data), c.max)
 	}
-	evicted := 0
+	var evicted []string
 	c.mu.Lock()
 	if el, ok := c.entries[digest]; ok { // already resident: refresh recency
 		c.lru.MoveToFront(el)
@@ -156,13 +157,27 @@ func (c *BlobCache) put(digest string, sum [sha256.Size]byte, data []byte) error
 		c.lru.Remove(back)
 		delete(c.entries, ent.digest)
 		c.size -= int64(len(ent.data))
-		evicted++
+		evicted = append(evicted, ent.digest)
 	}
 	c.entries[digest] = c.lru.PushFront(&blobEntry{digest: digest, data: data})
 	c.size += int64(len(data))
+	hooks := c.evicted
 	c.mu.Unlock()
-	c.evictions.Add(float64(evicted))
+	c.evictions.Add(float64(len(evicted)))
+	for _, d := range evicted {
+		for _, fn := range hooks {
+			fn(d)
+		}
+	}
 	return nil
+}
+
+// onEvict registers fn to be called, outside the cache's lock, with the
+// digest of every blob the cache evicts from then on.
+func (c *BlobCache) onEvict(fn func(digest string)) {
+	c.mu.Lock()
+	c.evicted = append(c.evicted, fn)
+	c.mu.Unlock()
 }
 
 // Max reports the cache's byte bound (also the largest acceptable blob).

@@ -132,6 +132,7 @@ func TestDMShardingBitExact(t *testing.T) {
 	for _, nbits := range []int{32, 8} {
 		fb, raw := testObservationBits(t, nbits)
 		w := NewLocal("slot", testExec())
+		w.slot.drop(Digest(raw)) // whatever an earlier test left in the shared slot
 		for _, zeroDM := range []bool{false, true} {
 			for _, plan := range []string{"brute", "subband"} {
 				search := SearchSpec{Threshold: 6, Plan: plan, NormWindow: 1024, ZeroDM: zeroDM}
@@ -198,6 +199,7 @@ func testObservationBits(t *testing.T, nbits int) (*sps.Filterbank, []byte) {
 func TestSlotRestagesOnZeroDMFlip(t *testing.T) {
 	_, raw := testObservation(t)
 	w := NewLocal("flip", testExec())
+	w.slot.drop(Digest(raw))
 	staged, reused := w.slot.staged.Value(), w.slot.reused.Value()
 	for i, zeroDM := range []bool{false, true, true, false} {
 		shard := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024, ZeroDM: zeroDM}, 4)[i]
@@ -218,6 +220,44 @@ func TestSlotRestagesOnZeroDMFlip(t *testing.T) {
 	}
 	if s, r := w.slot.staged.Value()-staged, w.slot.reused.Value()-reused; s != 3 || r != 1 {
 		t.Fatalf("%v staged, %v reused; want 3 and 1 (every zero-DM flip restages)", s, r)
+	}
+}
+
+// staticObservation is memory outside the Go heap, as a caller's mapped
+// or embedded filterbank can be: a package-level array.
+var staticObservation [4 << 20]byte
+
+// TestLocalSearchesNonHeapBuffer: Locals stage, and then reuse the
+// staging of, an observation whose bytes live outside the Go heap, and
+// every shard returns the events of a stateless run.
+func TestLocalSearchesNonHeapBuffer(t *testing.T) {
+	_, raw := testObservation(t)
+	if len(raw) > len(staticObservation) {
+		t.Fatalf("the %d-byte observation does not fit the %d-byte array", len(raw), len(staticObservation))
+	}
+	data := staticObservation[:copy(staticObservation[:], raw)]
+	a, b := NewLocal("a", testExec()), NewLocal("b", testExec())
+	a.slot.drop(Digest(data))
+	staged, reused := a.slot.staged.Value(), a.slot.reused.Value()
+	for i, shard := range PlanDM("job", data, testGrid(), SearchSpec{Threshold: 6, Plan: "subband", NormWindow: 1024, ZeroDM: true}, 3) {
+		want, _, err := collectShard(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []spe.SPE
+		if _, err := []*Local{a, b}[i%2].Run(context.Background(), shard, func(batch []spe.SPE) error {
+			got = append(got, batch...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !eventsEqual(want, got) {
+			t.Fatalf("shard %d: events differ from a stateless run (%d vs %d)", i, len(got), len(want))
+		}
+	}
+	// Both Locals share the process's one slot.
+	if s, r := a.slot.staged.Value()-staged, a.slot.reused.Value()-reused; s != 1 || r != 2 {
+		t.Fatalf("%v staged, %v reused over 3 shards on two Locals; want 1 and 2", s, r)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drapid/internal/obs"
@@ -83,11 +84,14 @@ func Handler(exec rdd.ExecConfig) http.Handler { return NewHandler(exec, nil) }
 // executor and blob cache (nil: a DefaultBlobCacheBytes cache counting
 // into obs.Default) — what `drapidd -worker` mounts. A plain upload with
 // a Content-Length is received once into a buffer of exactly that length
-// and hashed as it arrives (putExact). The handler keeps one staging slot
-// (DESIGN.md §9.1): the channel-major staging of the last observation it
-// searched, which its next shards of the same blob and zero-DM setting
-// reuse — concurrently, read-only — instead of decoding, zero-DMing and
-// transposing it again; drapid_fleet_staging_total counts both outcomes.
+// and hashed as it arrives (putExact), as long as the buffers of the
+// uploads in progress stay within the cache bound; past it an upload
+// takes the bounded read. The handler keeps one staging slot (DESIGN.md
+// §9.1): the channel-major staging of the last observation it searched,
+// which its next shards of the same blob and zero-DM setting reuse —
+// concurrently, read-only — instead of decoding, zero-DMing and
+// transposing it again, and which it drops when the blob leaves the
+// cache; drapid_fleet_staging_total counts both outcomes.
 // Both the blob cache and the slot are derived from content, so a worker
 // process can still be killed and replaced at will (the coordinator
 // treats the cut connection as a failed attempt, resubmits, and
@@ -96,7 +100,16 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 	if cache == nil {
 		cache = NewBlobCache(0, obs.Default)
 	}
-	slot := newStagingSlot()
+	// The slot keeps a staging only while its blob is cached, so the
+	// staging never outlives the blob's place under the cache bound.
+	slot := newStagingSlot(cache.Contains)
+	cache.onEvict(slot.drop)
+	// receiving counts the bytes exact-size receives have allocated and
+	// not yet handed to the cache. It is held to the cache bound, so
+	// clients that declare large bodies and then stall cannot make the
+	// worker allocate more than that up front; an upload past it takes
+	// the bounded read, which grows only with the bytes that arrive.
+	var receiving atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/shard/ping", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -134,8 +147,18 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 			return
 		}
 		if r.ContentLength >= 0 && r.Header.Get("Content-Encoding") != "gzip" {
-			putExact(w, r, cache, digest)
-			return
+			if r.ContentLength > cache.Max() {
+				http.Error(w, fmt.Sprintf("blob of %d bytes exceeds the cache bound of %d", r.ContentLength, cache.Max()),
+					http.StatusRequestEntityTooLarge)
+				return
+			}
+			n := r.ContentLength
+			if receiving.Add(n) <= cache.Max() {
+				putExact(w, r, cache, digest)
+				receiving.Add(-n)
+				return
+			}
+			receiving.Add(-n)
 		}
 		var src io.Reader = http.MaxBytesReader(w, r.Body, cache.Max())
 		if r.Header.Get("Content-Encoding") == "gzip" {
@@ -216,17 +239,12 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 }
 
 // putExact is the PUT /v1/blob handler for a plain body of declared
-// length: one buffer of exactly that length, filled as the bytes arrive
-// and hashed chunk by chunk as they land, so the bytes stored are the
-// bytes hashed and the observation is neither regrown nor read twice. A
-// declared length past the cache bound is a 413 before anything is
-// allocated; a body shorter or longer than it declares is a 400.
+// length within the cache bound: one buffer of exactly that length,
+// filled as the bytes arrive and hashed chunk by chunk as they land, so
+// the bytes stored are the bytes hashed and the observation is neither
+// regrown nor read twice. A body shorter or longer than it declares is a
+// 400.
 func putExact(w http.ResponseWriter, r *http.Request, cache *BlobCache, digest string) {
-	if r.ContentLength > cache.Max() {
-		http.Error(w, fmt.Sprintf("blob of %d bytes exceeds the cache bound of %d", r.ContentLength, cache.Max()),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
 	data := make([]byte, r.ContentLength)
 	h := sha256.New()
 	for n := 0; n < len(data); {

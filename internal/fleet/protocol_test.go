@@ -616,3 +616,115 @@ func TestConcurrentShardsShareStaging(t *testing.T) {
 			s, r, counter("reused")-warm)
 	}
 }
+
+// TestSlotDropsEvictedBlob: a handler's staging slot keeps a staging only
+// while its blob is cached. When another upload evicts the blob, the
+// slot drops its staging, so the next shard of the blob (re-uploaded
+// after a 412) stages afresh; and a search that completes after its blob
+// left the cache publishes nothing.
+func TestSlotDropsEvictedBlob(t *testing.T) {
+	_, raw := testObservation(t)
+	other := bytes.Clone(raw)
+	other[len(other)-1] ^= 1
+	ts := httptest.NewServer(NewHandler(testExec(), NewBlobCache(int64(len(raw)), nil)))
+	defer ts.Close()
+	remote := NewRemote("w0", ts.URL, nil)
+	counter := func(outcome string) float64 {
+		return obs.Default.Counter("drapid_fleet_staging_total", "", obs.L("outcome", outcome)).Value()
+	}
+	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "subband", NormWindow: 1024}, 2)
+	run := func(s ShardSpec) {
+		t.Helper()
+		want, _, err := collectShard(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []spe.SPE
+		if _, err := remote.Run(context.Background(), s, func(evs []spe.SPE) error {
+			got = append(got, evs...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !eventsEqual(want, got) {
+			t.Fatalf("shard %d: events differ from a stateless run (%d vs %d)", s.Index, len(got), len(want))
+		}
+	}
+	staged, reused := counter("staged"), counter("reused")
+	run(shards[0])
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/blob/"+Digest(other), bytes.NewReader(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("uploading the other blob: %s", resp.Status)
+	}
+	run(shards[1])
+	if s, r := counter("staged")-staged, counter("reused")-reused; s != 2 || r != 0 {
+		t.Fatalf("%v staged, %v reused; want 2 and 0 (the evicted blob's staging dropped)", s, r)
+	}
+
+	slot := newStagingSlot(func(string) bool { return false })
+	key := stagingKey{digest: Digest(raw)}
+	st, _ := slot.acquire(key)
+	slot.publish(key, st)
+	if _, fresh := slot.acquire(key); !fresh {
+		t.Fatal("the slot published the staging of a blob no longer cached")
+	}
+}
+
+// TestStalledUploadsHoldOneBound: uploads that declare their length and
+// then stall hold at most the cache bound in exact-size buffers between
+// them; past it an upload takes the bounded read, which grows only with
+// the bytes that arrive. Once they end the whole budget is free again,
+// and the next upload is received into one buffer.
+func TestStalledUploadsHoldOneBound(t *testing.T) {
+	const bound = 4 << 20
+	h := NewHandler(testExec(), NewBlobCache(bound, nil))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	pipes := make([]*io.PipeWriter, 3)
+	for i := range pipes {
+		pr, pw := io.Pipe()
+		pipes[i] = pw
+		req := httptest.NewRequest(http.MethodPut, "/v1/blob/"+Digest(nil), pr)
+		req.ContentLength = bound
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.ServeHTTP(httptest.NewRecorder(), req)
+		}()
+		// The write returns once the handler has read the byte, so it has
+		// allocated whatever it allocates up front.
+		if _, err := pw.Write([]byte{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	for _, pw := range pipes {
+		pw.CloseWithError(errors.New("client gave up"))
+	}
+	wg.Wait()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound*3/2 {
+		t.Fatalf("3 stalled uploads declaring %d bytes each allocated %d bytes, want <= 1.5 × the bound", bound, alloc)
+	}
+
+	blob := bytes.Repeat([]byte("0123456789abcdef"), bound/16)
+	req := httptest.NewRequest(http.MethodPut, "/v1/blob/"+Digest(blob), bytes.NewReader(blob))
+	rec := httptest.NewRecorder()
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("upload after the stalled ones: status %d", rec.Code)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(blob))*11/10 {
+		t.Fatalf("uploading a %d-byte blob after the stalled ones allocated %d bytes, want < 1.1×", len(blob), alloc)
+	}
+}

@@ -66,7 +66,10 @@ type ShardSpec struct {
 	Filterbank []byte `json:"-"`
 	// FilterbankDigest is the content address (lowercase hex SHA-256) of
 	// Filterbank. Planning always sets it; a spec shipped by digest alone
-	// is only executable on a worker whose blob cache holds the bytes.
+	// is only executable on a worker whose blob cache holds the bytes. A
+	// Local worker takes it as the bytes' identity without hashing them:
+	// its staging slot reuses the staging of an earlier shard that named
+	// the same digest.
 	FilterbankDigest string `json:"filterbank_digest,omitempty"`
 	// DMs is the job's FULL ascending trial grid — never a subset, so
 	// dedispersion-plan resolution is identical on every worker (see the
@@ -106,8 +109,9 @@ func (s ShardSpec) Validate() error {
 // RunShard executes one shard on the given executor, statelessly: it
 // parses, zero-DMs and stages the observation for itself, however many
 // shards of it ran before. Local and the NewHandler worker run the same
-// core through their staging slot (stagingSlot), which keeps one staging
-// between shards. The shard's events are delivered to emit time-sorted,
+// core through a staging slot (stagingSlot), which keeps one staging
+// between shards: every Local in the process shares one slot, and each
+// handler has its own. The shard's events are delivered to emit time-sorted,
 // in one batch once the search completes.
 func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit func([]spe.SPE) error) (sps.Stats, error) {
 	return runShard(ctx, spec, exec, nil, emit)
@@ -135,7 +139,7 @@ func runShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, slot *st
 	}
 	cfg.TrialLo, cfg.TrialHi = spec.TrialLo, spec.TrialHi
 	key := stagingKey{spec.FilterbankDigest, spec.Search.ZeroDM}
-	st, fresh := slot.acquire(key, hdr, data)
+	st, fresh := slot.acquire(key)
 	cfg.Staging = st
 	// The blob is searched in place, decoded tile by tile as it is staged.
 	var events []spe.SPE
@@ -159,9 +163,9 @@ func runShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, slot *st
 
 // stagingKey names what a staging slot holds: one observation blob under
 // one zero-DM setting, the only inputs of its staging. The digest is the
-// content's identity, which the handle's own record of its buffer is not:
-// a caller that rewrites a buffer in place and plans it again gets a new
-// digest, so the slot restages although the buffer is the same.
+// bytes' identity: the handler computes it from the bytes it received, and
+// PlanDM from the bytes it plans, so a caller that rewrites a buffer in
+// place and plans it again gets a new digest and the slot restages.
 type stagingKey struct {
 	digest string
 	zeroDM bool
@@ -174,8 +178,12 @@ type stagingKey struct {
 // concurrent shard of the same blob. Any other shard drops the slot's
 // staging before it stages — the worker never keeps two — and publishes
 // its own fresh one only once its search completed. At rest the slot
-// holds at most one staging: 4 bytes per sample and channel.
+// holds at most one staging, 4 bytes per sample and channel, and only of
+// a blob live reports resident: the handler's slot drops its staging
+// when the blob leaves the cache.
 type stagingSlot struct {
+	live func(digest string) bool // nil: every blob stays live
+
 	mu  sync.Mutex
 	key stagingKey
 	st  *sps.Staging
@@ -183,25 +191,30 @@ type stagingSlot struct {
 	staged, reused *obs.Counter
 }
 
-func newStagingSlot() *stagingSlot {
+func newStagingSlot(live func(digest string) bool) *stagingSlot {
 	const name, help = "drapid_fleet_staging_total", "Shards by how they got their observation's channel-major staging: reused from the worker's slot, or staged afresh."
 	return &stagingSlot{
+		live:   live,
 		staged: obs.Default.Counter(name, help, obs.L("outcome", "staged")),
 		reused: obs.Default.Counter(name, help, obs.L("outcome", "reused")),
 	}
 }
 
-// acquire returns the staging handle for a shard of key over data (hdr
-// and data as ParseRaw returns them): the published one when it holds
-// exactly that staging, else — fresh — a new one, after dropping the old.
-// A nil slot, or a spec without a digest, stages privately (nil handle).
-func (s *stagingSlot) acquire(key stagingKey, hdr sps.Header, data []byte) (st *sps.Staging, fresh bool) {
+// localSlot is the one staging slot every Local in the process shares, so
+// an in-process fleet of any size holds at most one staging at rest.
+var localSlot = sync.OnceValue(func() *stagingSlot { return newStagingSlot(nil) })
+
+// acquire returns the staging handle for a shard of key: the published
+// one when the slot holds key, else — fresh — a new empty one, after
+// dropping the old. A nil slot, or a spec without a digest, stages
+// privately (nil handle).
+func (s *stagingSlot) acquire(key stagingKey) (st *sps.Staging, fresh bool) {
 	if s == nil || key.digest == "" {
 		return nil, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.key == key && s.st.Holds(hdr, data, key.zeroDM) {
+	if s.st != nil && s.key == key {
 		s.reused.Inc()
 		return s.st, false
 	}
@@ -211,11 +224,23 @@ func (s *stagingSlot) acquire(key stagingKey, hdr sps.Header, data []byte) (st *
 }
 
 // publish makes st, the fresh handle of a completed search, the slot's
-// staging for key.
+// staging for key, unless key's blob is no longer live.
 func (s *stagingSlot) publish(key stagingKey, st *sps.Staging) {
 	s.mu.Lock()
-	s.key, s.st = key, st
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.live == nil || s.live(key.digest) {
+		s.key, s.st = key, st
+	}
+}
+
+// drop releases the slot's staging of the blob digest names, which has
+// left the blob cache.
+func (s *stagingSlot) drop(digest string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.key.digest == digest {
+		s.key, s.st = stagingKey{}, nil
+	}
 }
 
 // PlanDM splits a job into n DM shards: contiguous, balanced sub-ranges

@@ -33,10 +33,11 @@ type Worker interface {
 // Local is an in-process worker: shards execute on this process's cores
 // under the given rdd executor (sharing its token-bucket limiter with
 // whatever else runs on it). It is the worker of tests, benchmarks and
-// single-host fleets. It keeps one staging slot (DESIGN.md §9.1): the
-// channel-major staging of the last observation it searched, reused by
-// its next shard of the same blob and zero-DM setting, so at rest a Local
-// holds at most one staging, 4 × nsamples × nchans bytes.
+// single-host fleets. Every Local in the process shares one staging slot
+// (DESIGN.md §9.1): the channel-major staging of the last observation a
+// Local searched, reused by any Local's next shard of the same blob and
+// zero-DM setting. So at rest all of a process's Locals together hold at
+// most one staging, 4 × nsamples × nchans bytes.
 type Local struct {
 	name string
 	exec rdd.ExecConfig
@@ -45,7 +46,7 @@ type Local struct {
 
 // NewLocal builds an in-process worker executing shards on exec.
 func NewLocal(name string, exec rdd.ExecConfig) *Local {
-	return &Local{name: name, exec: exec, slot: newStagingSlot()}
+	return &Local{name: name, exec: exec, slot: localSlot()}
 }
 
 // Name implements Worker.
@@ -54,8 +55,8 @@ func (l *Local) Name() string { return l.name }
 // Ping implements Worker; an in-process worker is alive by definition.
 func (l *Local) Ping(ctx context.Context) error { return ctx.Err() }
 
-// Run implements Worker over RunShard's core and the worker's staging
-// slot.
+// Run implements Worker over RunShard's core and the process's shared
+// staging slot.
 func (l *Local) Run(ctx context.Context, spec ShardSpec, emit func([]spe.SPE) error) (sps.Stats, error) {
 	return runShard(ctx, spec, l.exec, l.slot, emit)
 }

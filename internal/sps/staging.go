@@ -2,8 +2,6 @@ package sps
 
 import (
 	"context"
-	"sync/atomic"
-	"weak"
 
 	"drapid/internal/rdd"
 )
@@ -15,81 +13,46 @@ import (
 // observation — skips them. Pass it as Config.Staging; the zero value is
 // an empty handle.
 //
-// The first one-gulp search of raw data that finds the handle empty fills
-// it. From then on it is read-only, so concurrent searches may share it,
-// and it records what it staged: the identity of the data buffer (a weak
-// reference, so the handle never keeps the bytes alive, and a buffer freed
-// and reallocated never matches), the geometry and the zero-DM setting. A
-// search whose data, geometry or zero-DM differ from that record stages
-// privately, exactly as with no handle, so a stale handle costs time and
-// never changes an event. The staging depends on nothing else — not the
-// trial grid, the trial range, the plan or the worker count — so a reused
-// staging is bit-identical to a fresh one. The data must not change while
-// a handle refers to it.
+// The first one-gulp search of raw data through an empty handle fills it
+// and records the geometry and zero-DM setting it staged. A later search
+// with the same geometry and zero-DM reuses the staging; any other, and
+// every gulped or decoded search, stages privately as with no handle, and
+// the handle keeps what it held. The staging depends on nothing else —
+// not the trial grid, the trial range, the plan or the worker count — so
+// a reused staging is bit-identical to a fresh one.
+//
+// The handle does not know which bytes it staged: its owner must pass a
+// filled handle only to searches of the same bytes (the fleet's staging
+// slot keys it by the observation's content digest). Filling is not
+// synchronised: an empty handle belongs to one search until that search
+// returns; after that, searches may share it read-only, concurrently,
+// once they are ordered after that return (for example by a mutex).
 type Staging struct {
-	state atomic.Uint32 // stagingEmpty → stagingFilling → stagingFull
-	key   stagingKey
-	cm    chanMajor
+	geom stagingGeom // the zero value until the handle is filled
+	cm   chanMajor
 }
 
-const (
-	stagingEmpty uint32 = iota
-	stagingFilling
-	stagingFull
-)
-
-// stagingKey identifies what a staging was built from.
-type stagingKey struct {
-	data         weak.Pointer[byte]
-	size         int
-	rows, nchans int
-	nbits        int
-	zeroDM       bool
-}
-
-// wholeRawKey is the key of blk's staging when blk is a whole observation
-// of raw bytes — the only block a handle stages.
-func wholeRawKey(blk *Block, nchans int, zeroDM bool) (stagingKey, bool) {
-	if blk.Start != 0 || !blk.Last || blk.NBits == 0 || len(blk.Raw) == 0 {
-		return stagingKey{}, false
-	}
-	return stagingKey{
-		data: weak.Make(&blk.Raw[0]), size: len(blk.Raw),
-		rows: blk.Rows, nchans: nchans, nbits: blk.NBits, zeroDM: zeroDM,
-	}, true
-}
-
-// Holds reports whether s holds the staging of data, the raw data bytes
-// (as ParseRaw returns them) of an observation with header hdr, under the
-// given zero-DM setting: whether a one-gulp search of them through s
-// skips staging.
-func (s *Staging) Holds(hdr Header, data []byte, zeroDM bool) bool {
-	if s == nil || s.state.Load() != stagingFull {
-		return false
-	}
-	key, ok := wholeRawKey(&Block{Rows: hdr.NSamples, Last: true, Raw: data, NBits: hdr.NBits}, hdr.NChans, zeroDM)
-	return ok && key == s.key
+// stagingGeom is what a staging was built from, apart from the bytes.
+type stagingGeom struct {
+	size, rows, nchans, nbits int
+	zeroDM                    bool
 }
 
 // stage returns the channel-major staging of blk: the handle's own when it
-// holds blk's, staged into the handle when it is empty, and otherwise
-// staged into scratch — always scratch for a nil handle or a block that is
-// not a whole raw observation.
+// holds a staging of blk's geometry and zero-DM, staged into the handle
+// when it is empty, and otherwise staged into scratch — always scratch for
+// a nil handle or a block that is not a whole raw observation.
 func (s *Staging) stage(ctx context.Context, exec rdd.ExecConfig, blk *Block, nchans int, zeroDM bool, sc *stageClock, scratch *chanMajor) (*chanMajor, error) {
-	if s == nil {
-		return scratch, scratch.stage(ctx, exec, blk, nchans, zeroDM, sc)
-	}
-	if key, whole := wholeRawKey(blk, nchans, zeroDM); whole {
-		if s.state.Load() == stagingFull && s.key == key {
+	if s != nil && blk.Start == 0 && blk.Last && blk.NBits != 0 && len(blk.Raw) > 0 {
+		geom := stagingGeom{size: len(blk.Raw), rows: blk.Rows, nchans: nchans, nbits: blk.NBits, zeroDM: zeroDM}
+		switch s.geom {
+		case geom:
 			return &s.cm, nil
-		}
-		if s.state.CompareAndSwap(stagingEmpty, stagingFilling) {
+		case stagingGeom{}:
 			if err := s.cm.stage(ctx, exec, blk, nchans, zeroDM, sc); err != nil {
-				s.state.Store(stagingEmpty)
 				return nil, err
 			}
-			s.key = key
-			s.state.Store(stagingFull)
+			s.geom = geom
 			return &s.cm, nil
 		}
 	}

@@ -12,10 +12,11 @@ import (
 // TestStagingHandle: a search through a Staging handle returns exactly
 // the events of the same search without one, whether the handle is empty
 // (the search fills it), holds this search's staging (the search reuses
-// it), or holds a staging of other input — the other zero-DM setting, a
-// copy of the same bytes in another buffer, or an 8-bit observation of
-// the same geometry — in which case the search stages privately and the
-// handle keeps what it held. A gulped search ignores the handle.
+// it), or holds a staging of other geometry or zero-DM — the other zero-DM
+// setting, an 8-bit observation of the same shape — in which case the
+// search stages privately and the handle keeps what it held. A gulped
+// search ignores the handle, and a failed search leaves an empty handle
+// empty.
 func TestStagingHandle(t *testing.T) {
 	fb := streamFixture(t)
 	raw := func(nbits int) []byte {
@@ -32,7 +33,7 @@ func TestStagingHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	search := func(b []byte, zeroDM bool, block int, st *Staging) []spe.SPE {
+	search := func(ctx context.Context, b []byte, zeroDM bool, block int, st *Staging) ([]spe.SPE, error) {
 		t.Helper()
 		hdr, data, err := ParseRaw(b)
 		if err != nil {
@@ -40,27 +41,27 @@ func TestStagingHandle(t *testing.T) {
 		}
 		var events []spe.SPE
 		cfg := Config{DMs: dms, Threshold: 6, NormWindow: 512, ZeroDM: zeroDM, BlockSamples: block, TrialLo: 10, TrialHi: 40, Staging: st}
-		if _, err := SearchRaw(context.Background(), hdr, data, cfg, func(batch []spe.SPE) error {
+		_, err = SearchRaw(ctx, hdr, data, cfg, func(batch []spe.SPE) error {
 			events = append(events, batch...)
 			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return events
-	}
-	holds := func(st *Staging, b []byte, zeroDM bool) bool {
-		hdr, data, err := ParseRaw(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Holds(hdr, data, zeroDM)
+		})
+		return events, err
 	}
 
 	st := new(Staging)
-	if holds(st, raw32, true) {
-		t.Fatal("an empty handle holds a staging")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := search(cancelled, raw32, true, 0, st); err == nil {
+		t.Fatal("a cancelled search succeeded")
 	}
-	copy32 := bytes.Clone(raw32)
+	if st.geom != (stagingGeom{}) {
+		t.Fatalf("a failed search left the handle holding %+v", st.geom)
+	}
+	hdr, data, err := ParseRaw(raw32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := stagingGeom{size: len(data), rows: hdr.NSamples, nchans: hdr.NChans, nbits: 32, zeroDM: true}
 	for _, tc := range []struct {
 		name   string
 		data   []byte
@@ -70,19 +71,25 @@ func TestStagingHandle(t *testing.T) {
 		{"fill", raw32, true, 0},
 		{"reuse", raw32, true, 0},
 		{"other zero-DM", raw32, false, 0},
-		{"copied bytes", copy32, true, 0},
 		{"8-bit", raw8, true, 0},
 		{"gulped", raw32, true, 2048},
 	} {
-		want := search(tc.data, tc.zeroDM, tc.block, nil)
+		want, err := search(context.Background(), tc.data, tc.zeroDM, tc.block, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(want) == 0 {
 			t.Fatalf("%s: the search found no events", tc.name)
 		}
-		if got := search(tc.data, tc.zeroDM, tc.block, st); !reflect.DeepEqual(got, want) {
+		got, err := search(context.Background(), tc.data, tc.zeroDM, tc.block, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: events through the handle differ from a search without one (%d vs %d)", tc.name, len(got), len(want))
 		}
-		if !holds(st, raw32, true) || holds(st, raw32, false) || holds(st, copy32, true) || holds(st, raw8, true) {
-			t.Fatalf("%s: the handle no longer holds exactly the first search's staging", tc.name)
+		if st.geom != first {
+			t.Fatalf("%s: the handle holds %+v, want the first search's %+v", tc.name, st.geom, first)
 		}
 	}
 }
