@@ -154,8 +154,8 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 			}
 			n := r.ContentLength
 			if receiving.Add(n) <= cache.Max() {
+				defer receiving.Add(-n)
 				putExact(w, r, cache, digest)
-				receiving.Add(-n)
 				return
 			}
 			receiving.Add(-n)
