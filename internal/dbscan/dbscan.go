@@ -12,6 +12,7 @@ package dbscan
 
 import (
 	"math"
+	"slices"
 
 	"drapid/internal/dmgrid"
 	"drapid/internal/spe"
@@ -70,6 +71,16 @@ func (r *Result) MemberEvents(i int, events []spe.SPE) []spe.SPE {
 }
 
 // Cluster runs the customized DBSCAN over one observation's events.
+//
+// Neighbourhoods come from a flat cell index (see cellIndex). A query
+// lists exactly the points the map-indexed implementation it replaced
+// listed, in the same order: cell columns dx = -1, 0, 1, within each the
+// rows dy = -1, 0, 1, within a cell ascending index. The labels depend on
+// the neighbour sets only, not on that order: clusters are seeded in
+// index order, a noise point a cluster reaches joins it (and expands it
+// if core), and a border point an earlier cluster claimed is relabelled
+// without expanding. FuzzClusterMatchesRef holds Labels, IDs and Members
+// DeepEqual to the old implementation, kept in the tests as refCluster.
 func Cluster(events []spe.SPE, grid *dmgrid.Grid, key spe.Key, p Params) *Result {
 	n := len(events)
 	labels := make([]int, n)
@@ -80,30 +91,35 @@ func Cluster(events []spe.SPE, grid *dmgrid.Grid, key spe.Key, p Params) *Result
 		return &Result{Labels: labels}
 	}
 
-	// Normalised coordinates: x in trial steps, y in eps-time units.
+	// Each event's trial index, looked up once for both passes, and its
+	// normalised coordinates: x in trial steps, y in eps-time units.
+	trials := make([]int, n)
 	xs := make([]float64, n)
 	ys := make([]float64, n)
 	for i, e := range events {
-		xs[i] = float64(grid.IndexOf(e.DM)) / p.EpsDMTrials
+		trials[i] = grid.IndexOf(e.DM)
+		xs[i] = float64(trials[i]) / p.EpsDMTrials
 		ys[i] = e.Time / p.EpsTime
 	}
 	idx := newCellIndex(xs, ys)
 
-	// Standard DBSCAN with BFS expansion.
+	// Standard DBSCAN with BFS expansion. A point already labelled with
+	// the cluster being grown is never queued: popping it would do nothing.
 	nextID := 0
-	queue := make([]int, 0, 64)
+	var neigh []int32
+	queue := make([]int32, 0, 64)
 	for i := 0; i < n; i++ {
 		if labels[i] != Noise {
 			continue
 		}
-		neigh := idx.neighbors(i, xs, ys)
+		neigh = idx.neighbors(neigh[:0], i, xs, ys)
 		if len(neigh) < p.MinPts {
 			continue
 		}
 		id := nextID
 		nextID++
 		labels[i] = id
-		queue = append(queue[:0], neigh...)
+		queue = appendUnlabelled(queue[:0], neigh, labels, id)
 		for len(queue) > 0 {
 			j := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
@@ -115,24 +131,36 @@ func Cluster(events []spe.SPE, grid *dmgrid.Grid, key spe.Key, p Params) *Result
 			if !wasNoise {
 				continue // border point claimed from another cluster: keep new label, don't expand
 			}
-			jn := idx.neighbors(j, xs, ys)
-			if len(jn) >= p.MinPts {
-				queue = append(queue, jn...)
+			neigh = idx.neighbors(neigh[:0], int(j), xs, ys)
+			if len(neigh) >= p.MinPts {
+				queue = appendUnlabelled(queue, neigh, labels, id)
 			}
 		}
 	}
 
 	if p.MergeDMTrials > 0 && p.MergeTime > 0 && nextID > 1 {
-		nextID = mergeFragments(events, labels, grid, nextID, p)
+		nextID = mergeFragments(events, trials, labels, nextID, p)
 	}
 
 	return summarize(events, labels, nextID, key)
 }
 
+// appendUnlabelled appends to queue, in order, the points of neigh not yet
+// labelled id.
+func appendUnlabelled(queue, neigh []int32, labels []int, id int) []int32 {
+	for _, j := range neigh {
+		if labels[j] != id {
+			queue = append(queue, j)
+		}
+	}
+	return queue
+}
+
 // mergeFragments joins clusters whose bounding boxes are within the merge
-// gaps of each other — the paper's artifact-repair pass. Returns the new
-// cluster count after relabeling to dense ids.
-func mergeFragments(events []spe.SPE, labels []int, grid *dmgrid.Grid, k int, p Params) int {
+// gaps of each other — the paper's artifact-repair pass. trials holds each
+// event's trial-DM index. Returns the new cluster count after relabeling
+// to dense ids.
+func mergeFragments(events []spe.SPE, trials, labels []int, k int, p Params) int {
 	type box struct {
 		xLo, xHi float64 // trial-step units
 		tLo, tHi float64
@@ -145,7 +173,7 @@ func mergeFragments(events []spe.SPE, labels []int, grid *dmgrid.Grid, k int, p 
 		if l == Noise {
 			continue
 		}
-		x := float64(grid.IndexOf(events[i].DM))
+		x := float64(trials[i])
 		b := &boxes[l]
 		b.xLo = math.Min(b.xLo, x)
 		b.xHi = math.Max(b.xHi, x)
@@ -157,8 +185,7 @@ func mergeFragments(events []spe.SPE, labels []int, grid *dmgrid.Grid, k int, p 
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -190,21 +217,22 @@ func mergeFragments(events []spe.SPE, labels []int, grid *dmgrid.Grid, k int, p 
 		}
 	}
 
-	// Relabel to dense ids.
-	dense := make(map[int]int, k)
+	// Relabel to dense ids, in order of first appearance.
+	dense := make([]int, k)
+	for i := range dense {
+		dense[i] = -1
+	}
 	next := 0
 	for i, l := range labels {
 		if l == Noise {
 			continue
 		}
 		r := find(l)
-		id, ok := dense[r]
-		if !ok {
-			id = next
+		if dense[r] < 0 {
+			dense[r] = next
 			next++
-			dense[r] = id
 		}
-		labels[i] = id
+		labels[i] = dense[r]
 	}
 	return next
 }
@@ -228,34 +256,75 @@ func summarize(events []spe.SPE, labels []int, k int, key spe.Key) *Result {
 	return &Result{Labels: labels, Clusters: clusters, Members: members}
 }
 
-// cellIndex is a uniform-grid spatial hash over the normalised coordinates;
-// with eps = 1 in both axes, all neighbors of a point live in its cell or
-// the eight surrounding cells.
+// cellIndex is a uniform grid over the normalised coordinates, stored
+// flat: with eps = 1 in both axes, all neighbours of a point live in its
+// cell or the eight around it. Cells are numbered in order of first
+// appearance; cell c's points are members[start[c]:start[c+1]] in
+// ascending index, and around[c] names the cells at (dx, dy) for dx, then
+// dy, in -1..1, or -1 where no point lies. Each cell is hashed once to
+// number the points and eight times to link its neighbours, so a query
+// reads arrays only.
 type cellIndex struct {
-	cells map[[2]int][]int
+	start   []int32
+	members []int32
+	of      []int32 // of[i] is point i's cell
+	around  [][9]int32
 }
 
 func newCellIndex(xs, ys []float64) *cellIndex {
-	ci := &cellIndex{cells: make(map[[2]int][]int, len(xs)/2+1)}
+	n := len(xs)
+	ci := &cellIndex{members: make([]int32, n), of: make([]int32, n)}
+	ids := make(map[[2]int]int32, n/2+1)
+	var cells [][2]int
 	for i := range xs {
 		c := [2]int{int(math.Floor(xs[i])), int(math.Floor(ys[i]))}
-		ci.cells[c] = append(ci.cells[c], i)
+		id, ok := ids[c]
+		if !ok {
+			id = int32(len(cells))
+			ids[c] = id
+			cells = append(cells, c)
+		}
+		ci.of[i] = id
+	}
+	// Counting sort of the points by cell keeps each cell's in index order.
+	ci.start = make([]int32, len(cells)+1)
+	for _, c := range ci.of {
+		ci.start[c+1]++
+	}
+	for c := range cells {
+		ci.start[c+1] += ci.start[c]
+	}
+	fill := slices.Clone(ci.start[:len(cells)])
+	for i, c := range ci.of {
+		ci.members[fill[c]] = int32(i)
+		fill[c]++
+	}
+	ci.around = make([][9]int32, len(cells))
+	for c, cell := range cells {
+		for o := range 9 {
+			id, ok := ids[[2]int{cell[0] + o/3 - 1, cell[1] + o%3 - 1}]
+			if !ok {
+				id = -1
+			}
+			ci.around[c][o] = id
+		}
 	}
 	return ci
 }
 
-func (ci *cellIndex) neighbors(i int, xs, ys []float64) []int {
-	cx, cy := int(math.Floor(xs[i])), int(math.Floor(ys[i]))
-	var out []int
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			for _, j := range ci.cells[[2]int{cx + dx, cy + dy}] {
-				ddx, ddy := xs[j]-xs[i], ys[j]-ys[i]
-				if ddx*ddx+ddy*ddy <= 1 {
-					out = append(out, j)
-				}
+// neighbors appends to dst the points within distance 1 of point i, itself
+// included, in the order cellIndex documents.
+func (ci *cellIndex) neighbors(dst []int32, i int, xs, ys []float64) []int32 {
+	for _, c := range ci.around[ci.of[i]] {
+		if c < 0 {
+			continue
+		}
+		for _, j := range ci.members[ci.start[c]:ci.start[c+1]] {
+			ddx, ddy := xs[j]-xs[i], ys[j]-ys[i]
+			if ddx*ddx+ddy*ddy <= 1 {
+				dst = append(dst, j)
 			}
 		}
 	}
-	return out
+	return dst
 }

@@ -174,7 +174,14 @@ func NewHandler(exec rdd.ExecConfig, cache *BlobCache) http.Handler {
 		}
 		data, err := io.ReadAll(src)
 		if err != nil {
-			http.Error(w, "reading blob: "+err.Error(), http.StatusRequestEntityTooLarge)
+			// Only a body past the bound is too large; a corrupt or cut
+			// one (bad gzip checksum, early EOF) is a bad request.
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "reading blob: "+err.Error(), status)
 			return
 		}
 		if err := cache.Put(digest, data); err != nil {

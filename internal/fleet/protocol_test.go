@@ -8,11 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -527,6 +529,45 @@ func FuzzBlobPut(f *testing.F) {
 			t.Fatalf("%d-byte body declared %d, gzip %v: allocated %d bytes, want <= %d", len(body), declared, gz, alloc, limit)
 		}
 	})
+}
+
+// TestBlobPutReadErrorStatus: a gzip upload that fails to decode — a
+// corrupted CRC trailer, or a body cut short — is a 400 naming the read
+// error, not a 413; only a body past the cache bound, compressed or
+// decompressed, is a 413.
+func TestBlobPutReadErrorStatus(t *testing.T) {
+	const bound = 1 << 16
+	blob := bytes.Repeat([]byte("observation "), 1000)
+	good := gzipped(blob)
+	badCRC := slices.Clone(good)
+	badCRC[len(badCRC)-8] ^= 0xff // the CRC-32 of the gzip trailer
+	incompressible := make([]byte, 2*bound)
+	rand.New(rand.NewSource(1)).Read(incompressible)
+	for _, c := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"intact", good, http.StatusCreated},
+		{"bad CRC", badCRC, http.StatusBadRequest},
+		{"truncated", good[:len(good)/2], http.StatusBadRequest},
+		{"compressed past the bound", gzipped(incompressible), http.StatusRequestEntityTooLarge},
+		{"decompressed past the bound", gzipped(make([]byte, 2*bound)), http.StatusRequestEntityTooLarge},
+	} {
+		digest := Digest(blob)
+		if c.want == http.StatusRequestEntityTooLarge {
+			digest = Digest(c.body)
+		}
+		req, err := putBlobRequest(c.body, -1, digest, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		NewHandler(testExec(), NewBlobCache(bound, nil)).ServeHTTP(rec, req)
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d (%q), want %d", c.name, rec.Code, strings.TrimSpace(rec.Body.String()), c.want)
+		}
+	}
 }
 
 // TestBlobPutAllocatesOnce: a plain upload of declared length costs the

@@ -1,6 +1,10 @@
 package pipeline
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"drapid/internal/dbscan"
 	"drapid/internal/dmgrid"
 	"drapid/internal/hdfs"
@@ -28,30 +32,63 @@ type Prepared struct {
 // customized DBSCAN) over observations, producing the two CSV inputs the
 // distributed job joins. Headers are included, as the real files carry
 // them; the driver strips them (Figure 3, stage 1).
+//
+// Observations are independent, so Prepare clusters and formats them on
+// GOMAXPROCS goroutines, each taking the next unclaimed observation and
+// writing into that observation's own slots; the results join in input
+// order. The output is therefore the same for any worker count, byte for
+// byte. Each observation's data lines are substrings of one string (see
+// spe.FormatDataLines).
 func Prepare(obs []spe.Observation, grid *dmgrid.Grid, params dbscan.Params) *Prepared {
-	lines := 1
-	for _, o := range obs {
-		lines += len(o.Events)
+	// first[i] is the index of observation i's first data line.
+	first := make([]int, len(obs)+1)
+	first[0] = 1 // the header
+	keys := make([]spe.Key, len(obs))
+	for i, o := range obs {
+		first[i+1] = first[i] + len(o.Events)
+		keys[i] = o.Key
 	}
 	p := &Prepared{
-		DataLines:    append(make([]string, 0, lines), spe.DataHeader),
-		ClusterLines: []string{spe.ClusterHeader},
+		DataLines: make([]string, first[len(obs)]),
+		Keys:      keys,
+		Clusters:  make([][]*spe.Cluster, len(obs)),
+		Results:   make([]*dbscan.Result, len(obs)),
+		NumSPEs:   first[len(obs)] - 1,
 	}
-	var line []byte // one formatting buffer for every record
-	for _, o := range obs {
+	p.DataLines[0] = spe.DataHeader
+	clusterLines := make([][]string, len(obs))
+	prepare := func(i int) {
+		o := obs[i]
 		res := dbscan.Cluster(o.Events, grid, o.Key, params)
-		for _, e := range o.Events {
-			line = spe.AppendDataLine(line[:0], o.Key, e)
-			p.DataLines = append(p.DataLines, string(line))
-		}
+		// Appends in place: the slice's capacity runs past this
+		// observation's slots, and it fills exactly those.
+		spe.FormatDataLines(p.DataLines[first[i]:first[i]], o.Key, o.Events)
+		var line []byte
 		for _, c := range res.Clusters {
 			line = spe.AppendClusterLine(line[:0], c)
-			p.ClusterLines = append(p.ClusterLines, string(line))
+			clusterLines[i] = append(clusterLines[i], string(line))
 		}
-		p.Keys = append(p.Keys, o.Key)
-		p.Clusters = append(p.Clusters, res.Clusters)
-		p.Results = append(p.Results, res)
-		p.NumSPEs += len(o.Events)
+		p.Clusters[i], p.Results[i] = res.Clusters, res
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(obs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(obs) {
+					return
+				}
+				prepare(i)
+			}
+		}()
+	}
+	wg.Wait()
+	p.ClusterLines = append(make([]string, 0, p.NumClusters()+1), spe.ClusterHeader)
+	for _, ls := range clusterLines {
+		p.ClusterLines = append(p.ClusterLines, ls...)
 	}
 	return p
 }

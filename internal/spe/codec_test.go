@@ -136,6 +136,62 @@ func TestSortByDMMatchesSortSlice(t *testing.T) {
 	}
 }
 
+// TestSortByTimeMatchesSortSlice is TestSortByDMMatchesSortSlice for
+// SortByTime: ties in (Time, DM) broken by Downfact and SNR, exact ties
+// in all four, NaN and ±0 in every key, presorted runs, and the
+// insertion-sort, pdqsort and heapsort fallback sizes.
+func TestSortByTimeMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	values := []float64{0, math.Copysign(0, -1), math.NaN(), 1, 2, 3, math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(200)
+		if trial%100 == 0 {
+			n = 2000 + rng.Intn(3000)
+		}
+		events := make([]SPE, n)
+		for i := range events {
+			events[i] = SPE{Time: values[rng.Intn(len(values))], DM: values[rng.Intn(4)], Downfact: rng.Intn(3),
+				SNR: values[rng.Intn(len(values))], Sample: int64(i)}
+			if trial%3 == 0 {
+				events[i].Time, events[i].SNR = float64(rng.Intn(4)), float64(rng.Intn(2)) // no NaN: a valid strict weak order
+			}
+			if trial%7 == 0 && i > 0 {
+				events[i].Time = events[i-1].Time + float64(rng.Intn(2)) // runs of presorted data
+			}
+		}
+		want := slices.Clone(events)
+		refSortByTime(want)
+		SortByTime(events)
+		for i := range events {
+			if events[i].Sample != want[i].Sample {
+				t.Fatalf("trial %d (n=%d): position %d holds sample %d, sort.Slice put %d there", trial, n, i, events[i].Sample, want[i].Sample)
+			}
+		}
+	}
+}
+
+// TestFormatDataLinesMatchesFormatDataLine: the one-buffer formatter
+// appends after what dst holds, and each record equals FormatDataLine's.
+func TestFormatDataLinesMatchesFormatDataLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		k := Key{Dataset: "PALFA", MJD: randFloat(rng), RA: randFloat(rng), Dec: randFloat(rng), Beam: int(randInt(rng))}
+		events := make([]SPE, rng.Intn(50))
+		for i := range events {
+			events[i] = SPE{DM: randFloat(rng), SNR: randFloat(rng), Time: randFloat(rng), Sample: randInt(rng), Downfact: int(randInt(rng))}
+		}
+		got := FormatDataLines([]string{"head"}, k, events)
+		if len(got) != 1+len(events) || got[0] != "head" {
+			t.Fatalf("FormatDataLines gave %d lines starting %q, want %d after the kept head", len(got), got[0], len(events))
+		}
+		for i, e := range events {
+			if want := FormatDataLine(k, e); got[1+i] != want {
+				t.Fatalf("record %d = %q, FormatDataLine %q", i, got[1+i], want)
+			}
+		}
+	}
+}
+
 // TestPayloadParsesAllocateNothing: the per-event decode on the identify
 // path, and the whole-record parse, allocate nothing when they succeed.
 func TestPayloadParsesAllocateNothing(t *testing.T) {

@@ -1,9 +1,8 @@
 package spe
 
 import (
-	"bufio"
 	"fmt"
-	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,7 +44,34 @@ func FormatClusterLine(c *Cluster) string {
 // print, NaN and ±Inf included, since fmt formats floats through the same
 // strconv routine.
 func AppendDataLine(dst []byte, k Key, e SPE) []byte {
-	dst = appendKeyFields(dst, k)
+	return appendDataFields(appendKeyFields(dst, k), e)
+}
+
+// FormatDataLines appends to dst one data-file record per event of the
+// observation keyed k, each exactly as AppendDataLine formats it. The key's
+// five descriptors are formatted once, and the records are substrings of
+// one string, so an observation costs a few allocations, not one per event.
+func FormatDataLines(dst []string, k Key, events []SPE) []string {
+	if len(events) == 0 {
+		return dst
+	}
+	head := appendKeyFields(nil, k)
+	buf := make([]byte, 0, len(events)*(len(head)+48))
+	ends := make([]int, len(events))
+	for i, e := range events {
+		buf = appendDataFields(append(buf, head...), e)
+		ends[i] = len(buf)
+	}
+	s, start := string(buf), 0
+	for _, end := range ends {
+		dst = append(dst, s[start:end])
+		start = end
+	}
+	return dst
+}
+
+// appendDataFields appends the five comma-led payload fields of e.
+func appendDataFields(dst []byte, e SPE) []byte {
 	dst = appendFloat(dst, e.DM, 4)
 	dst = appendFloat(dst, e.SNR, 3)
 	dst = appendFloat(dst, e.Time, 6)
@@ -90,11 +116,11 @@ func QuantizeCluster(c Cluster) Cluster {
 }
 
 // roundTrip is ParseFloat∘AppendFloat at %.<prec>f, formatted into a stack
-// buffer. The parse cannot fail: AppendFloat writes a finite value's exact
+// buffer. The parse cannot fail: appendFixed writes a finite value's exact
 // decimal digits and NaN/±Inf as the spellings ParseFloat accepts.
 func roundTrip(v float64, prec int) float64 {
 	var buf [32]byte
-	q, _ := strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], v, 'f', prec, 64)), 64)
+	q, _ := strconv.ParseFloat(string(appendFixed(buf[:0], v, prec)), 64)
 	return q
 }
 
@@ -109,7 +135,72 @@ func appendKeyFields(dst []byte, k Key) []byte {
 
 // appendFloat appends a comma and v as fmt's %.<prec>f prints it.
 func appendFloat(dst []byte, v float64, prec int) []byte {
-	return strconv.AppendFloat(append(dst, ','), v, 'f', prec, 64)
+	return appendFixed(append(dst, ','), v, prec)
+}
+
+// decades[i] is 10^(i-19).
+var decades = func() (d [39]float64) {
+	for i := range d {
+		d[i] = math.Pow10(i - 19)
+	}
+	return d
+}()
+
+// appendFixed appends exactly what strconv.AppendFloat(dst, v, 'f', prec,
+// 64) appends. strconv prints 'f' at a fixed precision on its
+// multiprecision path; when v's %.<prec>f has 2–17 significant digits,
+// its Ryū fixed-digit 'e' path rounds the same digits correctly at half
+// the cost, and appendFixed re-lays them out as 'f'. The digit count
+// follows from an estimate of v's decimal exponent, which the exponent
+// of the 'e' form then checks: when they differ (the estimate was off, or
+// rounding carried into a new decade) the digits were not rounded at the
+// 10^-prec place, and strconv's 'f' formats v instead. Zero, NaN, ±Inf
+// and values outside the digit range take that path too.
+func appendFixed(dst []byte, v float64, prec int) []byte {
+	a := math.Abs(v)
+	if a == 0 || math.IsInf(a, 0) || math.IsNaN(a) {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	// For a's binary exponent e2, floor(e2·log10 2) (Ryū's 78913/2^18) is
+	// a's decimal exponent or one less; a compare settles which, and the
+	// check below catches whatever the compare gets wrong.
+	exp := (int(math.Float64bits(a)>>52) - 1023) * 78913 >> 18
+	if exp >= -19 && exp < 19 && a >= decades[exp+20] {
+		exp++
+	}
+	digits := exp + 1 + prec
+	if digits < 2 || digits > 17 {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	// e is "d.ddd…e±XX": the leading digit, the point, digits-1 digits,
+	// then the exponent's sign at 2+digits and its decimal digits.
+	var buf [32]byte
+	e := strconv.AppendFloat(buf[:0], a, 'e', digits-1, 64)
+	x := 0
+	for _, c := range e[3+digits:] {
+		x = 10*x + int(c-'0')
+	}
+	if e[2+digits] == '-' {
+		x = -x
+	}
+	if x != exp {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	if v < 0 {
+		dst = append(dst, '-')
+	}
+	if exp < 0 { // 0.000ddd: prec = digits - 1 - exp > 1
+		dst = append(dst, '0', '.')
+		for i := -1; i > exp; i-- {
+			dst = append(dst, '0')
+		}
+		return append(append(dst, e[0]), e[2:1+digits]...)
+	}
+	dst = append(append(dst, e[0]), e[2:2+exp]...)
+	if prec > 0 {
+		dst = append(append(dst, '.'), e[2+exp:1+digits]...)
+	}
+	return dst
 }
 
 // CutKeyed cuts a CSV record after its fifth field: head is the five
@@ -283,100 +374,4 @@ func parseKeyFields(head string) (Key, error) {
 		return Key{}, fmt.Errorf("spe: bad beam: %w", err)
 	}
 	return k, nil
-}
-
-// WriteDataFile writes a data file (header plus one record per event) for a
-// set of observations.
-func WriteDataFile(w io.Writer, obs []Observation) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, DataHeader); err != nil {
-		return err
-	}
-	var line []byte
-	for _, o := range obs {
-		for _, e := range o.Events {
-			line = append(AppendDataLine(line[:0], o.Key, e), '\n')
-			if _, err := bw.Write(line); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteClusterFile writes a cluster file (header plus one record per cluster).
-func WriteClusterFile(w io.Writer, cs []*Cluster) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, ClusterHeader); err != nil {
-		return err
-	}
-	var line []byte
-	for _, c := range cs {
-		line = append(AppendClusterLine(line[:0], c), '\n')
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadDataFile parses a data file into observations grouped by key, in first-
-// appearance order. Header and blank lines (including trailing ones) are
-// skipped; a malformed record fails with its 1-based line number, so a bad
-// row in a multi-gigabyte survey file can actually be found.
-func ReadDataFile(r io.Reader) ([]Observation, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	order := []Key{}
-	byKey := map[Key][]SPE{}
-	ln := 0
-	for sc.Scan() {
-		ln++
-		line := sc.Text()
-		if IsHeader(line) {
-			continue
-		}
-		k, e, err := ParseDataLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("spe: line %d: %w", ln, err)
-		}
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
-		}
-		byKey[k] = append(byKey[k], e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("spe: after line %d: %w", ln, err)
-	}
-	obs := make([]Observation, 0, len(order))
-	for _, k := range order {
-		obs = append(obs, Observation{Key: k, Events: byKey[k]})
-	}
-	return obs, nil
-}
-
-// ReadClusterFile parses a cluster file. Header and blank lines (including
-// trailing ones) are skipped; a malformed record fails with its 1-based
-// line number.
-func ReadClusterFile(r io.Reader) ([]*Cluster, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var cs []*Cluster
-	ln := 0
-	for sc.Scan() {
-		ln++
-		line := sc.Text()
-		if IsHeader(line) {
-			continue
-		}
-		c, err := ParseClusterLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("spe: line %d: %w", ln, err)
-		}
-		cs = append(cs, c)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("spe: after line %d: %w", ln, err)
-	}
-	return cs, nil
 }

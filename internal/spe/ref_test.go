@@ -10,7 +10,8 @@ import (
 )
 
 // The oracles below are the Split/Join/Sprintf codec and the sort.Slice
-// ordering the field scanners, append formatters and SortByDM replaced,
+// orderings the field scanners, append formatters, SortByDM and SortByTime
+// replaced,
 // kept verbatim so the differential tests can hold the new code to their
 // exact accept/reject sets, values, error texts, bytes and permutations.
 
@@ -145,6 +146,22 @@ func refSortByDM(events []SPE) {
 			return events[i].DM < events[j].DM
 		}
 		return events[i].Time < events[j].Time
+	})
+}
+
+func refSortByTime(events []SPE) {
+	sort.Slice(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.DM != b.DM {
+			return a.DM < b.DM
+		}
+		if a.Downfact != b.Downfact {
+			return a.Downfact < b.Downfact
+		}
+		return a.SNR < b.SNR
 	})
 }
 

@@ -79,21 +79,37 @@ type Observation struct {
 // streams, fleet shards) merge into byte-identical output. In practice
 // (Time, DM) alone already distinguishes the search's events — boxcar
 // overlap merging keeps one detection per window — the extra keys are
-// insurance for hand-built event sets.
+// insurance for hand-built event sets. The comparator is negative exactly
+// when the less function SortByTime has always used holds, so, as for
+// SortByDM, every input gets the permutation sort.Slice produced.
 func SortByTime(events []SPE) {
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
+	slices.SortFunc(events, func(a, b SPE) int {
 		if a.Time != b.Time {
-			return a.Time < b.Time
+			return order(a.Time < b.Time)
 		}
 		if a.DM != b.DM {
-			return a.DM < b.DM
+			return order(a.DM < b.DM)
 		}
 		if a.Downfact != b.Downfact {
-			return a.Downfact < b.Downfact
+			return order(a.Downfact < b.Downfact)
 		}
-		return a.SNR < b.SNR
+		if a.SNR < b.SNR {
+			return -1
+		}
+		if a.SNR > b.SNR {
+			return 1
+		}
+		return 0
 	})
+}
+
+// order is a comparator's result for two values known to differ: -1 when
+// the first is less, 1 otherwise.
+func order(lt bool) int {
+	if lt {
+		return -1
+	}
+	return 1
 }
 
 // SortByDM orders events by trial DM, breaking ties by arrival time. The
@@ -105,10 +121,7 @@ func SortByTime(events []SPE) {
 func SortByDM(events []SPE) {
 	slices.SortFunc(events, func(a, b SPE) int {
 		if a.DM != b.DM {
-			if a.DM < b.DM {
-				return -1
-			}
-			return 1
+			return order(a.DM < b.DM)
 		}
 		if a.Time < b.Time {
 			return -1
