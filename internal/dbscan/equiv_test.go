@@ -136,27 +136,3 @@ func TestClusterMatchesRef(t *testing.T) {
 		checkMatchesRef(t, o.Events, sv.Grid, DefaultParams())
 	}
 }
-
-// BenchmarkCluster times Cluster and refCluster on synthetic PALFA
-// observations.
-func BenchmarkCluster(b *testing.B) {
-	sv := synth.PALFA()
-	sv.TobsSec = 10
-	gen := synth.NewGenerator(sv, 1)
-	rng := rand.New(rand.NewSource(2))
-	var obs []spe.Observation
-	for i := 0; i < 8; i++ {
-		o, _ := gen.Observe(gen.NextKey(), synth.Sources{NumImpulseRFI: 2, NumFlatRFI: 4, NumNoise: 300,
-			Pulsars: []synth.Pulsar{synth.RandomPulsar(rng, synth.AnyBand, synth.AnyBrightness, false)}})
-		obs = append(obs, o)
-	}
-	for name, cluster := range map[string]func([]spe.SPE, *dmgrid.Grid, spe.Key, Params) *Result{"flat": Cluster, "ref": refCluster} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, o := range obs {
-					cluster(o.Events, sv.Grid, o.Key, DefaultParams())
-				}
-			}
-		})
-	}
-}

@@ -73,21 +73,3 @@ func FuzzAppendFixed(f *testing.F) {
 		checkFixed(t, v, int(prec%21))
 	})
 }
-
-func BenchmarkAppendFixed(b *testing.B) {
-	vals := []float64{55000.1234, 140.5, 30.25, 120.5, 8.125, 12.345678}
-	precs := []int{4, 4, 4, 4, 3, 6}
-	var buf []byte
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j := i % len(vals)
-			buf = appendFixed(buf[:0], vals[j], precs[j])
-		}
-	})
-	b.Run("strconv", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j := i % len(vals)
-			buf = strconv.AppendFloat(buf[:0], vals[j], 'f', precs[j], 64)
-		}
-	})
-}
