@@ -60,9 +60,9 @@ func Prepare(obs []spe.Observation, grid *dmgrid.Grid, params dbscan.Params) *Pr
 	prepare := func(i int) {
 		o := obs[i]
 		res := dbscan.Cluster(o.Events, grid, o.Key, params)
-		// Appends in place: the slice's capacity runs past this
-		// observation's slots, and it fills exactly those.
-		spe.FormatDataLines(p.DataLines[first[i]:first[i]], o.Key, o.Events)
+		// Appends in place into exactly this observation's slots; the
+		// capacity stops at the next observation's first line.
+		spe.FormatDataLines(p.DataLines[first[i]:first[i]:first[i+1]], o.Key, o.Events)
 		var line []byte
 		for _, c := range res.Clusters {
 			line = spe.AppendClusterLine(line[:0], c)

@@ -11,9 +11,9 @@ import (
 
 // The oracles below are the Split/Join/Sprintf codec and the sort.Slice
 // orderings the field scanners, append formatters, SortByDM and SortByTime
-// replaced,
-// kept verbatim so the differential tests can hold the new code to their
-// exact accept/reject sets, values, error texts, bytes and permutations.
+// replaced, kept verbatim so the differential tests can hold the new code
+// to their exact accept/reject sets, values, error texts, bytes and
+// permutations.
 
 func refFormatDataLine(k Key, e SPE) string {
 	return fmt.Sprintf("%s,%.4f,%.4f,%.4f,%d,%.4f,%.3f,%.6f,%d,%d",
